@@ -2,9 +2,10 @@
 # Build with -DGM_SANITIZE=thread and run the thread-centric test subset
 # under ThreadSanitizer: mutex/condvar primitives, lock-rank death tests,
 # the metrics concurrency suite, and the parallel runner including the
-# 8-thread crash/restart chaos test. halt_on_error turns any report into
-# a test failure; second_deadlock_stack makes lock-inversion reports
-# actionable.
+# 8-thread chaos test that crashes and restarts bank shards (and wipes
+# auctioneer storage state) while the shards tick. halt_on_error turns
+# any report into a test failure; second_deadlock_stack makes
+# lock-inversion reports actionable.
 # Usage: scripts/check_tsan.sh [ctest args...]
 set -euo pipefail
 

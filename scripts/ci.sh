@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full CI gate: determinism/money lint, clang-tidy (when available), tier-1
 # build + tests (warnings as errors), the telemetry smoke stage (chaos
-# example must emit a parseable JSONL with a complete job span chain), then
-# the sanitizer job.
+# example must emit a parseable JSONL with a complete job span chain), the
+# bench smoke stages, the benchmark build + logic tests, then the
+# sanitizer job.
 # Usage: scripts/ci.sh [ctest args...]
 set -euo pipefail
 
@@ -225,6 +226,14 @@ for name in ("slo_pass", "conserved", "serial_parallel_bitidentical"):
 EOF
 echo "scenario smoke: BENCH_scenario.json valid (SLOs pass, money" \
      "conserved, serial == 8-thread, flash crowd recovered)"
+end_stage
+
+begin_stage "benchmark: drivers build + logic tests" 600
+# Compiles the benchmark's workload drivers against the current src/,
+# runs the benchmark's own logic tests and checks BENCHMARK.json against
+# the binary's metric catalog, so a src/ change that breaks an API the
+# drivers call fails here rather than in a benchmark run.
+python3 perfbench/run.py --test
 end_stage
 
 begin_stage "sanitizers: ASan + UBSan" 1200

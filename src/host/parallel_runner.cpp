@@ -165,47 +165,17 @@ void ParallelRunner::RunShard(Shard& shard, sim::SimTime now) {
     }
   }
 
-  if (sls_ != nullptr && config_.publish_sls) {
-    const PhysicalHost& physical = auctioneer.physical_host();
-    market::HostRecord record;
-    record.host_id = physical.id();
-    record.site = "parallel";
-    record.cpus = physical.spec().cpus;
-    record.cycles_per_cpu = physical.PerCpuCapacity();
-    record.price_per_capacity = auctioneer.PricePerCapacity();
-    record.vm_count = physical.vm_count();
-    record.max_vms = physical.spec().max_vms;
-    sls_->Publish(std::move(record));
-    ++shard.publishes;
-  }
-
-  if (bank_ != nullptr) {
-    // Deliberate discard: a concurrent read exercising the ledger lock.
-    // Under chaos the bank may be crashed, which is fine — nothing here
-    // branches on the result, so determinism is unaffected.
-    (void)bank_->Balance(shard.funding_account);
-    for (int t = 0; t < config_.transfers_per_shard; ++t) {
-      PendingOp op;
-      op.from = shard.funding_account;
-      op.to = shard.host_account;
-      op.amount = Money::FromMicros(
-          static_cast<Micros>(shard.rng.UniformInt(1, 5000)));
-      shard.ops.push_back(std::move(op));
-    }
-  }
-
-  if (federation_ != nullptr) {
-    // Same discipline against the sharded bank: a lock-exercising read
-    // in the parallel phase, transfers buffered for the merge.
-    (void)federation_->Balance(shard.funding_account);
-    for (int t = 0; t < config_.transfers_per_shard; ++t) {
-      PendingOp op;
-      op.from = shard.funding_account;
-      op.to = shard.host_account;
-      op.amount = Money::FromMicros(
-          static_cast<Micros>(shard.rng.UniformInt(1, 5000)));
-      shard.fed_ops.push_back(std::move(op));
-    }
+  // A lock-exercising read of the ledger in the parallel phase. The
+  // result is discarded: under chaos a bank shard may be crashed, and
+  // nothing branches on it. Transfers are buffered for the merge.
+  (void)federation_->Balance(shard.funding_account);
+  for (int t = 0; t < config_.transfers_per_shard; ++t) {
+    PendingOp op;
+    op.from = shard.funding_account;
+    op.to = shard.host_account;
+    op.amount = Money::FromMicros(
+        static_cast<Micros>(shard.rng.UniformInt(1, 5000)));
+    shard.fed_ops.push_back(std::move(op));
   }
 }
 
@@ -268,10 +238,11 @@ Result<ParallelRunReport> ParallelRunner::Run(int rounds) {
   if (rounds < 0) return Status::InvalidArgument("rounds must be >= 0");
   if (shards_.empty())
     return Status::FailedPrecondition("parallel_runner: no shards added");
+  if (federation_ == nullptr)
+    return Status::FailedPrecondition("parallel_runner: no federation set");
 
   ParallelRunReport report;
   report.shards = shards_.size();
-  for (Shard& shard : shards_) shard.publishes = 0;
 
   std::unique_ptr<ThreadPool> pool;
   if (!config_.serial) pool = std::make_unique<ThreadPool>(config_.threads);
@@ -294,46 +265,26 @@ Result<ParallelRunReport> ParallelRunner::Run(int rounds) {
     }
     report.ticks += shards_.size();
 
-    // Phase 3: apply buffered bank operations in shard order — the merge
-    // is what makes the parallel ledger bit-identical to the serial one.
-    for (Shard& shard : shards_) {
-      if (bank_ != nullptr) {
-        for (const PendingOp& op : shard.ops) {
-          const auto receipt =
-              bank_->InternalTransfer(op.from, op.to, op.amount, now);
-          if (receipt.ok()) {
-            ++report.bank_ops_applied;
-          } else {
-            ++report.bank_ops_failed;
-          }
-        }
-      }
-      shard.ops.clear();
-    }
-    if (federation_ != nullptr)
-      MergeFederationOps(pool.get(), now, report);
+    // Phase 3: apply the buffered transfers — the merge is what makes
+    // the parallel ledger bit-identical to the serial one.
+    MergeFederationOps(pool.get(), now, report);
     // Replay ops run after the round's transfers have settled, in shard
     // order, so each probe sees a deterministic registry state.
     for (Shard& shard : shards_) {
-      if (federation_ != nullptr) {
-        for (const std::string& sid : shard.replay_ops) {
-          ++report.replay_attempts;
-          // Refused either way: kAlreadyClaimed (the id was spent) or
-          // kNotFound (nothing to replay). attempts != rejected would
-          // mean the registry accepted a double-spend.
-          const Status status = federation_->ReplaySettlement(sid);
-          if (!status.ok()) ++report.replays_rejected;
-        }
+      for (const std::string& sid : shard.replay_ops) {
+        ++report.replay_attempts;
+        // Refused either way: kAlreadyClaimed (the id was spent) or
+        // kNotFound (nothing to replay). attempts != rejected would
+        // mean the registry accepted a double-spend.
+        const Status status = federation_->ReplaySettlement(sid);
+        if (!status.ok()) ++report.replays_rejected;
       }
       shard.replay_ops.clear();
     }
     ++report.rounds;
   }
 
-  for (const Shard& shard : shards_) report.sls_publishes += shard.publishes;
-  if (bank_ != nullptr) report.ledger_hash = bank_->LedgerHash();
-  if (federation_ != nullptr)
-    report.fed_ledger_hash = federation_->LedgerHash();
+  report.fed_ledger_hash = federation_->LedgerHash();
   return report;
 }
 

@@ -1,29 +1,28 @@
 // Parallel host runtime: ticking many auctioneers from a thread pool.
 //
 // A multi-site grid runs one auction per host per interval; the auctions
-// are independent except for the shared services they drive — the bank
-// (charging and funding flows), the Service Location Service (price
-// heartbeats) and telemetry. This runner shards the hosts over a thread
+// are independent except for the ledger they charge — a sharded bank
+// federation — and telemetry. This runner shards the hosts over a thread
 // pool and executes every allocation round in three phases:
 //
 //   1. advance  — the main thread alone advances the sim kernel to the
 //                 round boundary (the clock is read-only to workers),
 //   2. parallel — every shard, on a pool thread, perturbs its bids from
 //                 its own deterministic RNG stream, runs its auction
-//                 tick, heartbeats the SLS and *buffers* the bank
-//                 transfers it wants, reading shared services only
-//                 through their locks,
-//   3. merge    — after the pool barrier the main thread applies the
-//                 buffered bank operations in shard order.
+//                 tick and *buffers* the federation transfers it wants,
+//                 reading the ledger only through its locks,
+//   3. merge    — after the pool barrier the buffered transfers are
+//                 applied grouped by debtor bank shard, in fixed order.
 //
 // Because each shard's work depends only on shard-local state plus the
 // frozen clock, and cross-shard effects are applied at the barrier in a
-// fixed order, an 8-thread run produces the exact same bank ledger —
-// bit-identical LedgerHash, same audit journal, same receipt ids — as
-// config.serial = true executing the shards one after another. That
-// equivalence is the determinism contract the tier-1 tests pin down,
-// and it is what makes multi-threaded chaos runs debuggable: any
-// divergence is a bug in a component's locking, not scheduling noise.
+// fixed order, an 8-thread run produces the exact same federation ledger
+// — bit-identical LedgerHash, same settlement ids — and the same
+// per-shard prices as config.serial = true executing the shards one
+// after another. That equivalence is the determinism contract the tier-1
+// tests pin down, and it is what makes multi-threaded chaos runs
+// debuggable: any divergence is a bug in a component's locking, not
+// scheduling noise.
 #pragma once
 
 #include <cstdint>
@@ -32,13 +31,11 @@
 #include <string>
 #include <vector>
 
-#include "bank/bank.hpp"
 #include "bank/federation/router.hpp"
 #include "common/concurrency.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "market/auctioneer.hpp"
-#include "market/sls.hpp"
 #include "sim/kernel.hpp"
 
 namespace gm::host {
@@ -121,8 +118,6 @@ struct ParallelRunnerConfig {
   /// Execute shards inline on the calling thread, in shard order, instead
   /// of on the pool. The determinism contract: identical results.
   bool serial = false;
-  /// Heartbeat every shard's host record into the SLS each round.
-  bool publish_sls = true;
   /// Every N rounds each shard closes its first bidder's account
   /// (reclaiming the escrowed balance) and reopens it before bidding
   /// again — account removal and re-add inside one round. 0 disables.
@@ -135,16 +130,10 @@ struct ParallelRunReport {
   int rounds = 0;
   std::size_t shards = 0;
   std::uint64_t ticks = 0;
-  std::uint64_t bank_ops_applied = 0;
-  /// Buffered ops the bank rejected at merge (e.g. it was crashed).
-  std::uint64_t bank_ops_failed = 0;
-  std::uint64_t sls_publishes = 0;
-  /// bank->LedgerHash() after the final merge; empty without a bank.
-  std::string ledger_hash;
   /// Federation transfers applied/rejected at the merge barriers.
   std::uint64_t fed_ops_applied = 0;
   std::uint64_t fed_ops_failed = 0;
-  /// federation->LedgerHash() after the final merge; empty without one.
+  /// federation->LedgerHash() after the final merge.
   std::string fed_ledger_hash;
   /// Load-source replay ops presented to the double-spend registry at the
   /// merge barrier, and how many it refused (kAlreadyClaimed for spent
@@ -159,20 +148,17 @@ class ParallelRunner {
   ParallelRunner(sim::Kernel& kernel, ParallelRunnerConfig config);
 
   /// Register one auction shard. `funding_account` and `host_account`
-  /// must exist in the bank (when one is attached); buffered transfers
-  /// move funding -> host, modelling users paying the host's take.
+  /// must exist in the federation; buffered transfers move funding ->
+  /// host, modelling users paying the host's take.
   void AddShard(market::Auctioneer* auctioneer, std::string funding_account,
                 std::string host_account);
 
-  void SetBank(bank::Bank* bank) { bank_ = bank; }
-  void SetSls(market::ServiceLocationService* sls) { sls_ = sls; }
-  /// Charge against a sharded bank federation instead of (or as well as)
-  /// the central bank. Buffered transfers are applied at the merge
-  /// barrier grouped by DEBTOR bank shard: groups run concurrently on
-  /// the pool (each settlement id is minted under its debtor shard's
-  /// lock, in fixed group order), so the federation ledger after the
-  /// merge is bit-identical to a serial run's even though auctioneer
-  /// shards charge bank shards in parallel.
+  /// The ledger every shard charges; Run fails without one. Buffered
+  /// transfers are applied at the merge barrier grouped by DEBTOR bank
+  /// shard: groups run concurrently on the pool (each settlement id is
+  /// minted under its debtor shard's lock, in fixed group order), so the
+  /// federation ledger after the merge is bit-identical to a serial
+  /// run's even though auctioneer shards charge bank shards in parallel.
   void SetFederation(bank::federation::FederationRouter* federation) {
     federation_ = federation;
   }
@@ -182,7 +168,8 @@ class ParallelRunner {
   void SetLoadSource(ShardLoadSource* source) { load_source_ = source; }
 
   /// Execute `rounds` allocation rounds over all shards. Safe to call
-  /// repeatedly; shard RNG streams continue where they left off.
+  /// repeatedly; shard RNG streams continue where they left off. Fails
+  /// with kFailedPrecondition without shards or a federation.
   Result<ParallelRunReport> Run(int rounds);
 
   const ParallelRunnerConfig& config() const { return config_; }
@@ -205,16 +192,13 @@ class ParallelRunner {
     std::uint64_t rounds_run = 0;
     /// Written only by the worker running this shard during the parallel
     /// phase, read by the main thread after the barrier.
-    std::vector<PendingOp> ops;
-    /// Same contract, destined for the bank federation.
     std::vector<PendingOp> fed_ops;
     /// Load-source replay ops (settlement ids), same write/read contract.
     std::vector<std::string> replay_ops;
-    std::uint64_t publishes = 0;
   };
 
   /// The per-shard round body: runs on a pool thread (or inline when
-  /// serial). Touches only shard-local state and lock-guarded services.
+  /// serial). Touches only shard-local state and the lock-guarded ledger.
   void RunShard(Shard& shard, sim::SimTime now);
   void PrepareShard(Shard& shard);
   /// Apply every shard's buffered federation transfers, grouped by
@@ -225,10 +209,8 @@ class ParallelRunner {
   sim::Kernel& kernel_;
   const ParallelRunnerConfig config_;
   std::vector<Shard> shards_;
-  bank::Bank* bank_ = nullptr;                     // non-owning
-  market::ServiceLocationService* sls_ = nullptr;  // non-owning
   bank::federation::FederationRouter* federation_ = nullptr;  // non-owning
-  ShardLoadSource* load_source_ = nullptr;         // non-owning
+  ShardLoadSource* load_source_ = nullptr;                    // non-owning
 };
 
 }  // namespace gm::host

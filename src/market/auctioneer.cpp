@@ -169,8 +169,6 @@ Rate Auctioneer::SpotPriceRateLocked(sim::SimTime now) const {
   // spot price — no walk over the book.
   bids_.ExpireUntil(now);
   VerifyIncrementalLocked(now);
-  if (!config_.incremental_spot_price)
-    return Rate::MicrosPerSec(bids_.FullResumMicros(now));
   return Rate::MicrosPerSec(bids_.active_sum_micros());
 }
 
@@ -189,10 +187,7 @@ Rate Auctioneer::SpotPriceRateExcluding(const std::string& user) const {
   VerifyIncrementalLocked(now);
   const BidTable::Slot s = bids_.Find(user);
   const Micros own = s == BidTable::kNoSlot ? 0 : bids_.active_rate_micros(s);
-  const Micros total = config_.incremental_spot_price
-                           ? bids_.active_sum_micros()
-                           : bids_.FullResumMicros(now);
-  return Rate::MicrosPerSec(total - own);
+  return Rate::MicrosPerSec(bids_.active_sum_micros() - own);
 }
 
 double Auctioneer::PricePerCapacityLocked(sim::SimTime now) const {

@@ -54,10 +54,6 @@ struct AuctioneerConfig {
   /// window (its span is what the prediction models can ever read), which
   /// bounds history memory on multi-week runs.
   sim::SimDuration history_retention = 0;
-  /// Serve spot-price reads from the delta-maintained active sum (O(1))
-  /// instead of re-summing the book (O(accounts)). Off is an escape
-  /// hatch for A/B measurement; both paths are ledger-exact.
-  bool incremental_spot_price = true;
   /// Cross-check the incremental sum against a full re-sum at every
   /// spot-price read. Exact integer comparison — any divergence is a
   /// bug, and GM_ASSERT aborts. Costs O(accounts) per read, so it

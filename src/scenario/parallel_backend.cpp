@@ -43,11 +43,10 @@ ParallelScenarioBackend::ParallelScenarioBackend(GridMarket& grid,
   cfg.serial = options_.serial;
   cfg.seed = scenario_.seed;
   cfg.interval = options_.interval;
-  // The load source fully controls the auctions: no synthetic bidders,
-  // no synthetic transfers, no SLS heartbeats from the runner.
+  // The load source fully controls the auctions: no synthetic bidders
+  // and no synthetic transfers from the runner.
   cfg.bidders_per_shard = 0;
   cfg.transfers_per_shard = 0;
-  cfg.publish_sls = false;
   runner_ = std::make_unique<host::ParallelRunner>(grid_.kernel(), cfg);
   for (std::size_t i = 0; i < grid_.host_count(); ++i) {
     runner_->AddShard(&grid_.auctioneer(i), "scen:adversary",

@@ -14,7 +14,6 @@
 #include "bank/federation/router.hpp"
 #include "bank/federation/shard.hpp"
 #include "crypto/prime.hpp"
-#include "crypto/schnorr.hpp"
 #include "crypto/token.hpp"
 #include "store/store.hpp"
 
@@ -44,18 +43,12 @@ TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturns) {
 }
 
 /// A self-contained grid of `shards` hosts, each with its own auctioneer,
-/// sharing one bank and one SLS. Everything needed to re-run the exact
-/// same workload twice and compare ledgers.
+/// all charging one bank federation once AddFederation attaches it.
+/// Everything needed to re-run the exact same workload twice and compare
+/// ledgers.
 struct World {
   explicit World(std::size_t shards, bool serial, int threads,
                  std::uint64_t seed = 99, int churn_every = 0) {
-    bank = std::make_unique<bank::Bank>(crypto::TestGroup(), 42);
-    Rng key_rng(7);
-    owner = std::make_unique<crypto::KeyPair>(
-        crypto::KeyPair::Generate(crypto::TestGroup(), key_rng));
-    EXPECT_TRUE(bank->CreateAccount("broker", owner->public_key()).ok());
-    sls = std::make_unique<market::ServiceLocationService>(kernel);
-
     ParallelRunnerConfig config;
     config.threads = threads;
     config.serial = serial;
@@ -69,20 +62,15 @@ struct World {
       hosts.push_back(std::make_unique<PhysicalHost>(spec));
       auctioneers.push_back(
           std::make_unique<market::Auctioneer>(*hosts.back(), kernel));
-      const std::string fund = "broker/fund-" + std::to_string(i);
-      const std::string take = "broker/host-" + std::to_string(i);
-      EXPECT_TRUE(bank->CreateSubAccount("broker", fund).ok());
-      EXPECT_TRUE(bank->CreateSubAccount("broker", take).ok());
-      EXPECT_TRUE(bank->Mint(fund, Money::Dollars(100), 0).ok());
-      runner->AddShard(auctioneers.back().get(), fund, take);
+      runner->AddShard(auctioneers.back().get(),
+                       "broker/fund-" + std::to_string(i),
+                       "broker/host-" + std::to_string(i));
     }
-    runner->SetBank(bank.get());
-    runner->SetSls(sls.get());
   }
 
-  /// Attach a sharded bank federation with the same fund/take account
-  /// names the central bank uses, so every shard charges both ledgers.
-  /// Durable (per-shard WALs under `dir`) when a directory is given.
+  /// Attach a sharded bank federation holding every shard's fund and
+  /// take accounts. Durable (per-shard WALs under `dir`) when a directory
+  /// is given.
   void AddFederation(std::size_t num_shards, const fs::path& dir = {}) {
     for (std::size_t i = 0; i < num_shards; ++i) {
       fed_shards.push_back(
@@ -112,9 +100,6 @@ struct World {
   }
 
   sim::Kernel kernel;
-  std::unique_ptr<bank::Bank> bank;
-  std::unique_ptr<crypto::KeyPair> owner;
-  std::unique_ptr<market::ServiceLocationService> sls;
   std::vector<std::unique_ptr<PhysicalHost>> hosts;
   std::vector<std::unique_ptr<market::Auctioneer>> auctioneers;
   std::unique_ptr<ParallelRunner> runner;
@@ -125,158 +110,8 @@ struct World {
 };
 
 TEST(ParallelRunnerTest, EightThreadsMatchSerialBitForBit) {
-  constexpr std::size_t kShards = 8;
-  constexpr int kRounds = 6;
-
-  World serial(kShards, /*serial=*/true, /*threads=*/1);
-  const auto serial_report = serial.runner->Run(kRounds);
-  ASSERT_TRUE(serial_report.ok());
-
-  World parallel(kShards, /*serial=*/false, /*threads=*/8);
-  const auto parallel_report = parallel.runner->Run(kRounds);
-  ASSERT_TRUE(parallel_report.ok());
-
-  // The acceptance bar: identical ledger hash, not merely equal totals.
-  EXPECT_FALSE(serial_report->ledger_hash.empty());
-  EXPECT_EQ(parallel_report->ledger_hash, serial_report->ledger_hash);
-
-  EXPECT_EQ(parallel_report->rounds, kRounds);
-  EXPECT_EQ(parallel_report->shards, kShards);
-  EXPECT_EQ(parallel_report->ticks, serial_report->ticks);
-  EXPECT_EQ(parallel_report->bank_ops_applied,
-            serial_report->bank_ops_applied);
-  EXPECT_EQ(parallel_report->bank_ops_failed, 0u);
-
-  // The merge barrier makes even the order-sensitive state identical:
-  // the audit journal entry-for-entry, and every market balance.
-  const auto serial_audit = serial.bank->audit_log();
-  const auto parallel_audit = parallel.bank->audit_log();
-  ASSERT_EQ(parallel_audit.size(), serial_audit.size());
-  for (std::size_t i = 0; i < serial_audit.size(); ++i) {
-    EXPECT_EQ(parallel_audit[i].kind, serial_audit[i].kind) << i;
-    EXPECT_EQ(parallel_audit[i].from, serial_audit[i].from) << i;
-    EXPECT_EQ(parallel_audit[i].to, serial_audit[i].to) << i;
-    EXPECT_EQ(parallel_audit[i].amount, serial_audit[i].amount) << i;
-  }
-  for (std::size_t i = 0; i < kShards; ++i) {
-    EXPECT_EQ(
-        parallel.auctioneers[i]->total_revenue(),
-        serial.auctioneers[i]->total_revenue())
-        << "shard " << i;
-    EXPECT_EQ(parallel.auctioneers[i]->SpotPriceRate().micros_per_sec(),
-              serial.auctioneers[i]->SpotPriceRate().micros_per_sec())
-        << "shard " << i;
-  }
-
-  EXPECT_TRUE(parallel.bank->CheckInvariants().ok());
-}
-
-TEST(ParallelRunnerTest, ChurnedBidsStayDeterministic) {
-  // Every other round each shard closes and reopens a bidder, so bids
-  // are removed and re-added within a single round. The incremental
-  // spot-price path (slot reuse, lazy expiry entries, escrow-reclaim
-  // removals) must keep the 8-thread ledger bit-identical to serial.
-  constexpr std::size_t kShards = 8;
-  constexpr int kRounds = 9;
-  constexpr int kChurnEvery = 2;
-
-  World serial(kShards, /*serial=*/true, /*threads=*/1, /*seed=*/99,
-               kChurnEvery);
-  const auto serial_report = serial.runner->Run(kRounds);
-  ASSERT_TRUE(serial_report.ok());
-
-  World parallel(kShards, /*serial=*/false, /*threads=*/8, /*seed=*/99,
-                 kChurnEvery);
-  const auto parallel_report = parallel.runner->Run(kRounds);
-  ASSERT_TRUE(parallel_report.ok());
-
-  EXPECT_FALSE(serial_report->ledger_hash.empty());
-  EXPECT_EQ(parallel_report->ledger_hash, serial_report->ledger_hash);
-  EXPECT_EQ(parallel_report->bank_ops_applied,
-            serial_report->bank_ops_applied);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    EXPECT_EQ(parallel.auctioneers[i]->total_revenue(),
-              serial.auctioneers[i]->total_revenue())
-        << "shard " << i;
-    EXPECT_EQ(parallel.auctioneers[i]->SpotPriceRate().micros_per_sec(),
-              serial.auctioneers[i]->SpotPriceRate().micros_per_sec())
-        << "shard " << i;
-  }
-  EXPECT_TRUE(parallel.bank->CheckInvariants().ok());
-  EXPECT_EQ(parallel.sls->live_count(), kShards);
-}
-
-TEST(ParallelRunnerTest, RepeatedRunsContinueDeterministically) {
-  World a(4, /*serial=*/true, 1);
-  World b(4, /*serial=*/false, 8);
-  // Two short Runs must equal one long Run regardless of mode: shard RNG
-  // streams persist across calls.
-  ASSERT_TRUE(a.runner->Run(2).ok());
-  const auto a2 = a.runner->Run(3);
-  ASSERT_TRUE(a2.ok());
-  ASSERT_TRUE(b.runner->Run(2).ok());
-  const auto b2 = b.runner->Run(3);
-  ASSERT_TRUE(b2.ok());
-  EXPECT_EQ(a2->ledger_hash, b2->ledger_hash);
-}
-
-TEST(ParallelRunnerTest, RunWithoutShardsFails) {
-  sim::Kernel kernel;
-  ParallelRunner runner(kernel, {});
-  EXPECT_FALSE(runner.Run(1).ok());
-}
-
-TEST(ParallelRunnerChaosTest, CrashRestartUnderEightTickThreads) {
-  const fs::path dir =
-      fs::temp_directory_path() / "gm_parallel_chaos";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  World world(8, /*serial=*/false, /*threads=*/8);
-  auto store = store::DurableStore::Open((dir / "bank").string());
-  ASSERT_TRUE(store.ok());
-  world.bank->AttachStore(store->get());
-  ASSERT_TRUE((*store)->WriteSnapshot(*world.bank).ok());
-
-  // Chaos rides a separate thread: crash and restart the bank and wipe a
-  // host's storage state while all 8 auction shards are ticking. The
-  // assertions are about surviving (locks, no torn state), not about
-  // determinism — crash timing is wall-clock.
-  std::atomic<bool> stop{false};
-  gm::Thread chaos([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      world.bank->SimulateCrash();
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      (void)world.bank->Restart();
-      world.auctioneers[0]->CrashStorageState();
-      world.auctioneers[3]->CrashStorageState();
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  });
-
-  const auto report = world.runner->Run(40);
-  stop.store(true, std::memory_order_relaxed);
-  chaos.Join();
-
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->rounds, 40);
-  // Some merges hit a crashed bank; every op still lands in exactly one
-  // bucket.
-  const auto expected_ops =
-      report->ticks *
-      static_cast<std::uint64_t>(world.runner->config().transfers_per_shard);
-  EXPECT_EQ(report->bank_ops_applied + report->bank_ops_failed, expected_ops);
-
-  if (world.bank->crashed()) {
-    ASSERT_TRUE(world.bank->Restart().ok());
-  }
-  EXPECT_TRUE(world.bank->CheckInvariants().ok());
-  fs::remove_all(dir);
-}
-
-TEST(ParallelRunnerFederationTest, EightThreadsMatchSerialBitForBit) {
-  // Auction shards charging a 4-way sharded bank concurrently: the
-  // merged federation ledger (settlement ids included) must be
+  // Eight auction shards ticking on eight threads: every market's
+  // revenue and spot price, and the ledger they charge, must be
   // bit-identical to a serial run's.
   constexpr std::size_t kShards = 8;
   constexpr int kRounds = 6;
@@ -291,20 +126,129 @@ TEST(ParallelRunnerFederationTest, EightThreadsMatchSerialBitForBit) {
   const auto parallel_report = parallel.runner->Run(kRounds);
   ASSERT_TRUE(parallel_report.ok());
 
+  // The acceptance bar: identical ledger hash, not merely equal totals.
+  EXPECT_FALSE(serial_report->fed_ledger_hash.empty());
+  EXPECT_EQ(parallel_report->fed_ledger_hash,
+            serial_report->fed_ledger_hash);
+
+  EXPECT_EQ(parallel_report->rounds, kRounds);
+  EXPECT_EQ(parallel_report->shards, kShards);
+  EXPECT_EQ(parallel_report->ticks, serial_report->ticks);
+  EXPECT_EQ(parallel_report->fed_ops_applied,
+            serial_report->fed_ops_applied);
+  EXPECT_EQ(parallel_report->fed_ops_failed, 0u);
+  for (std::size_t i = 0; i < kShards; ++i) {
+    EXPECT_EQ(
+        parallel.auctioneers[i]->total_revenue(),
+        serial.auctioneers[i]->total_revenue())
+        << "shard " << i;
+    EXPECT_EQ(parallel.auctioneers[i]->SpotPriceRate().micros_per_sec(),
+              serial.auctioneers[i]->SpotPriceRate().micros_per_sec())
+        << "shard " << i;
+  }
+  EXPECT_TRUE(parallel.federation->CheckConservation().ok());
+}
+
+TEST(ParallelRunnerFederationTest, EightThreadsMatchSerialBitForBit) {
+  // Auction shards charging a 3-way sharded bank concurrently. Three
+  // bank shards split the eight fund/take pairs between same-shard
+  // transfers and cross-shard escrow, so the merged federation ledger
+  // (settlement ids included) mixes both paths and must still be
+  // bit-identical to a serial run's, with every settlement finished.
+  constexpr std::size_t kShards = 8;
+  constexpr int kRounds = 6;
+
+  World serial(kShards, /*serial=*/true, /*threads=*/1);
+  serial.AddFederation(3);
+  const auto serial_report = serial.runner->Run(kRounds);
+  ASSERT_TRUE(serial_report.ok());
+
+  World parallel(kShards, /*serial=*/false, /*threads=*/8);
+  parallel.AddFederation(3);
+  const auto parallel_report = parallel.runner->Run(kRounds);
+  ASSERT_TRUE(parallel_report.ok());
+
   EXPECT_FALSE(serial_report->fed_ledger_hash.empty());
   EXPECT_EQ(parallel_report->fed_ledger_hash,
             serial_report->fed_ledger_hash);
   EXPECT_EQ(parallel_report->fed_ops_applied,
             serial_report->fed_ops_applied);
   EXPECT_EQ(parallel_report->fed_ops_failed, 0u);
-  // Both ledgers were charged: the central bank stays bit-identical too.
-  EXPECT_EQ(parallel_report->ledger_hash, serial_report->ledger_hash);
 
   EXPECT_TRUE(parallel.federation->CheckConservation().ok());
   EXPECT_EQ(parallel.federation->PendingSettlements(), 0u);
   const auto stats = parallel.federation->Stats();
+  const auto serial_stats = serial.federation->Stats();
+  EXPECT_GT(stats.intra_transfers, 0u);
+  EXPECT_GT(stats.settlements_completed, 0u);
+  EXPECT_EQ(stats.intra_transfers, serial_stats.intra_transfers);
+  EXPECT_EQ(stats.settlements_completed, serial_stats.settlements_completed);
   EXPECT_EQ(stats.intra_transfers + stats.settlements_completed,
             parallel_report->fed_ops_applied);
+}
+
+TEST(ParallelRunnerTest, ChurnedBidsStayDeterministic) {
+  // Every other round each shard closes and reopens a bidder, so bids
+  // are removed and re-added within a single round. The incremental
+  // spot-price path (slot reuse, lazy expiry entries, escrow-reclaim
+  // removals) must keep the 8-thread ledger bit-identical to serial.
+  constexpr std::size_t kShards = 8;
+  constexpr int kRounds = 9;
+  constexpr int kChurnEvery = 2;
+
+  World serial(kShards, /*serial=*/true, /*threads=*/1, /*seed=*/99,
+               kChurnEvery);
+  serial.AddFederation(4);
+  const auto serial_report = serial.runner->Run(kRounds);
+  ASSERT_TRUE(serial_report.ok());
+
+  World parallel(kShards, /*serial=*/false, /*threads=*/8, /*seed=*/99,
+                 kChurnEvery);
+  parallel.AddFederation(4);
+  const auto parallel_report = parallel.runner->Run(kRounds);
+  ASSERT_TRUE(parallel_report.ok());
+
+  EXPECT_FALSE(serial_report->fed_ledger_hash.empty());
+  EXPECT_EQ(parallel_report->fed_ledger_hash,
+            serial_report->fed_ledger_hash);
+  EXPECT_EQ(parallel_report->fed_ops_applied,
+            serial_report->fed_ops_applied);
+  for (std::size_t i = 0; i < kShards; ++i) {
+    EXPECT_EQ(parallel.auctioneers[i]->total_revenue(),
+              serial.auctioneers[i]->total_revenue())
+        << "shard " << i;
+    EXPECT_EQ(parallel.auctioneers[i]->SpotPriceRate().micros_per_sec(),
+              serial.auctioneers[i]->SpotPriceRate().micros_per_sec())
+        << "shard " << i;
+  }
+  EXPECT_TRUE(parallel.federation->CheckConservation().ok());
+}
+
+TEST(ParallelRunnerTest, RepeatedRunsContinueDeterministically) {
+  World a(4, /*serial=*/true, 1);
+  a.AddFederation(4);
+  World b(4, /*serial=*/false, 8);
+  b.AddFederation(4);
+  // Two short Runs must equal one long Run regardless of mode: shard RNG
+  // streams persist across calls.
+  ASSERT_TRUE(a.runner->Run(2).ok());
+  const auto a2 = a.runner->Run(3);
+  ASSERT_TRUE(a2.ok());
+  ASSERT_TRUE(b.runner->Run(2).ok());
+  const auto b2 = b.runner->Run(3);
+  ASSERT_TRUE(b2.ok());
+  EXPECT_FALSE(a2->fed_ledger_hash.empty());
+  EXPECT_EQ(a2->fed_ledger_hash, b2->fed_ledger_hash);
+}
+
+TEST(ParallelRunnerTest, RunWithoutShardsFails) {
+  sim::Kernel kernel;
+  ParallelRunner runner(kernel, {});
+  EXPECT_EQ(runner.Run(1).status().code(), StatusCode::kFailedPrecondition);
+  // Shards but no ledger to charge fails the same way.
+  World world(2, /*serial=*/true, /*threads=*/1);
+  EXPECT_EQ(world.runner->Run(1).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(ParallelRunnerFederationChaosTest, ShardCrashMidEscrowSettlesOnce) {
@@ -315,12 +259,12 @@ TEST(ParallelRunnerFederationChaosTest, ShardCrashMidEscrowSettlesOnce) {
   World world(8, /*serial=*/false, /*threads=*/8);
   world.AddFederation(4, dir);
 
-  // Chaos rides a separate thread: crash and restart one bank shard
-  // while all 8 auction shards are charging the federation, so merges
-  // land mid cross-shard escrow — some park on the dead creditor, some
-  // die at prepare. The assertions are about exactly-once settlement and
-  // conservation after recovery, not determinism (crash timing is
-  // wall-clock).
+  // Chaos rides a separate thread: crash and restart one bank shard, and
+  // wipe two hosts' storage state, while all 8 auction shards are
+  // charging the federation, so merges land mid cross-shard escrow —
+  // some park on the dead creditor, some die at prepare. The assertions
+  // are about exactly-once settlement and conservation after recovery,
+  // not determinism (crash timing is wall-clock).
   std::atomic<bool> stop{false};
   gm::Thread chaos([&] {
     std::size_t victim = 0;
@@ -328,6 +272,8 @@ TEST(ParallelRunnerFederationChaosTest, ShardCrashMidEscrowSettlesOnce) {
       world.fed_shards[victim]->SimulateCrash();
       std::this_thread::sleep_for(std::chrono::microseconds(200));
       (void)world.fed_shards[victim]->Restart();
+      world.auctioneers[0]->CrashStorageState();
+      world.auctioneers[3]->CrashStorageState();
       victim = (victim + 1) % world.fed_shards.size();
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
