@@ -236,6 +236,16 @@ begin_stage "benchmark: drivers build + logic tests" 600
 python3 perfbench/run.py --test
 end_stage
 
+begin_stage "benchmark: output checks" 180
+# One short run per workload. Each still plays every variant twice and
+# runs all of the workload's output checks (serial == threaded ledger
+# hash, bit-identical WAL recovery, conservation, digests), so a change
+# that breaks what the benchmark asserts fails here.
+for workload in paper-testbed open-grid federation-scale; do
+  python3 perfbench/run.py --workload "$workload" --seconds 1
+done
+end_stage
+
 begin_stage "sanitizers: ASan + UBSan" 1200
 scripts/check_sanitize.sh "$@"
 end_stage

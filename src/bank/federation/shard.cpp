@@ -1,5 +1,9 @@
 #include "bank/federation/shard.hpp"
 
+#include <charconv>
+#include <string_view>
+
+#include "common/bytes.hpp"
 #include "common/strings.hpp"
 #include "crypto/sha256.hpp"
 #include "net/serialize.hpp"
@@ -21,6 +25,16 @@ enum RecordKind : std::uint8_t {
 };
 
 constexpr std::uint64_t kSnapshotVersion = 1;
+
+// Feeds `value` to `hasher` in decimal: for a signed value the bytes
+// printf's %lld gives, for an unsigned one those of %llu.
+template <typename Int>
+void UpdateDecimal(crypto::Sha256& hasher, Int value) {
+  char digits[24];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  hasher.Update(
+      std::string_view(digits, static_cast<std::size_t>(end - digits)));
+}
 
 const Status& ShardDown() {
   static const Status status =
@@ -620,28 +634,48 @@ Status BankShard::LoadSnapshot(net::Reader& reader)
 
 std::string BankShard::LedgerHash() const {
   gm::MutexLock lock(&mu_);
-  std::string canonical;
+  // Streams the canonical text field by field instead of building it.
+  // Its bytes must stay those of a printf rendering (ids with %s,
+  // integers with %lld, the sequence with %llu) so recorded hashes stay
+  // valid; BankShardTest.LedgerHashIsShaOfCanonicalText pins them. Ids go
+  // in through c_str() because %s stops at a NUL.
+  crypto::Sha256 hasher;
   for (const auto& [id, account] : accounts_) {
-    canonical += StrFormat("acct|%s|%lld\n", account.id.c_str(),
-                           static_cast<long long>(account.balance.micros()));
+    hasher.Update("acct|");
+    hasher.Update(account.id.c_str());
+    hasher.Update("|");
+    UpdateDecimal(hasher, account.balance.micros());
+    hasher.Update("\n");
   }
   for (const auto& [id, hold] : holds_) {
-    canonical += StrFormat(
-        "hold|%s|%s|%s|%lld\n", hold.settlement_id.c_str(),
-        hold.from.c_str(), hold.to.c_str(),
-        static_cast<long long>(hold.amount.micros()));
+    hasher.Update("hold|");
+    hasher.Update(hold.settlement_id.c_str());
+    hasher.Update("|");
+    hasher.Update(hold.from.c_str());
+    hasher.Update("|");
+    hasher.Update(hold.to.c_str());
+    hasher.Update("|");
+    UpdateDecimal(hasher, hold.amount.micros());
+    hasher.Update("\n");
   }
   for (const auto& [id, amount] : applied_) {
-    canonical += StrFormat("applied|%s|%lld\n", id.c_str(),
-                           static_cast<long long>(amount.micros()));
+    hasher.Update("applied|");
+    hasher.Update(id.c_str());
+    hasher.Update("|");
+    UpdateDecimal(hasher, amount.micros());
+    hasher.Update("\n");
   }
-  canonical += StrFormat(
-      "minted|%lld|in|%lld|out|%lld|seq|%llu\n",
-      static_cast<long long>(minted_.micros()),
-      static_cast<long long>(settled_in_.micros()),
-      static_cast<long long>(settled_out_.micros()),
-      static_cast<unsigned long long>(next_settlement_seq_));
-  return crypto::Sha256::HexDigest(canonical);
+  hasher.Update("minted|");
+  UpdateDecimal(hasher, minted_.micros());
+  hasher.Update("|in|");
+  UpdateDecimal(hasher, settled_in_.micros());
+  hasher.Update("|out|");
+  UpdateDecimal(hasher, settled_out_.micros());
+  hasher.Update("|seq|");
+  UpdateDecimal(hasher, next_settlement_seq_);
+  hasher.Update("\n");
+  const crypto::Sha256::Digest digest = hasher.Finalize();
+  return HexEncode(digest.data(), digest.size());
 }
 
 }  // namespace gm::bank::federation

@@ -94,19 +94,20 @@ void Sha256::Update(const std::uint8_t* data, std::size_t size) {
 Sha256::Digest Sha256::Finalize() {
   GM_ASSERT(!finalized_, "Sha256: double finalize");
   finalized_ = true;
+  // Padding: 0x80, zeros up to byte 56 of a block, then the 64-bit
+  // big-endian bit length. Past byte 55 the length no longer fits, so
+  // the zeros run into one more block.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    ProcessBlock(buffer_.data());
+    buffered_ = 0;
+  }
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   const std::uint64_t bit_length = total_bytes_ * 8;
-  // Padding: 0x80, zeros, 64-bit big-endian length.
-  const std::uint8_t pad_byte = 0x80;
-  finalized_ = false;  // allow the padding updates below
-  Update(&pad_byte, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) Update(&zero, 1);
-  std::uint8_t length_bytes[8];
   for (int i = 0; i < 8; ++i)
-    length_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - i * 8));
-  Update(length_bytes, 8);
-  finalized_ = true;
-  GM_ASSERT(buffered_ == 0, "Sha256: padding did not complete a block");
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - i * 8));
+  ProcessBlock(buffer_.data());
 
   Digest digest;
   for (int i = 0; i < 8; ++i) {

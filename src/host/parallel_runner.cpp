@@ -283,8 +283,6 @@ Result<ParallelRunReport> ParallelRunner::Run(int rounds) {
     }
     ++report.rounds;
   }
-
-  report.fed_ledger_hash = federation_->LedgerHash();
   return report;
 }
 

@@ -133,8 +133,6 @@ struct ParallelRunReport {
   /// Federation transfers applied/rejected at the merge barriers.
   std::uint64_t fed_ops_applied = 0;
   std::uint64_t fed_ops_failed = 0;
-  /// federation->LedgerHash() after the final merge.
-  std::string fed_ledger_hash;
   /// Load-source replay ops presented to the double-spend registry at the
   /// merge barrier, and how many it refused (kAlreadyClaimed for spent
   /// ids, kNotFound for probes of never-claimed ids). Any gap between the

@@ -1,10 +1,12 @@
 // Tests for the sharded bank federation: striped account ownership, the
 // two-phase inter-bank settlement protocol (including crash recovery at
-// every phase boundary), bit-identical WAL recovery per shard, and the
-// reconciler's signed conservation reports.
+// every phase boundary), bit-identical WAL recovery per shard, the
+// canonical bytes a shard ledger hash covers, and the reconciler's signed
+// conservation reports.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -13,7 +15,9 @@
 #include "bank/federation/reconciler.hpp"
 #include "bank/federation/router.hpp"
 #include "bank/federation/shard.hpp"
+#include "common/strings.hpp"
 #include "crypto/prime.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/token.hpp"
 #include "store/store.hpp"
 
@@ -311,6 +315,79 @@ TEST(FederationDurabilityTest, RestartWithoutStoreFails) {
   BankShard shard(0);
   shard.SimulateCrash();
   EXPECT_EQ(shard.Restart().code(), StatusCode::kFailedPrecondition);
+}
+
+// The canonical text BankShard::LedgerHash hashes, built the way the
+// hash was first defined: one StrFormat per account, hold and applied
+// credit, then a totals line. Kept as the reference that pins those bytes.
+std::string ReferenceCanonicalText(
+    const std::map<std::string, Money>& accounts,
+    const std::vector<SettlementHold>& holds,
+    const std::map<std::string, Money>& applied, Money minted,
+    Money settled_in, Money settled_out, std::uint64_t next_settlement_seq) {
+  std::string canonical;
+  for (const auto& [id, balance] : accounts) {
+    canonical += StrFormat("acct|%s|%lld\n", id.c_str(),
+                           static_cast<long long>(balance.micros()));
+  }
+  for (const SettlementHold& hold : holds) {
+    canonical += StrFormat(
+        "hold|%s|%s|%s|%lld\n", hold.settlement_id.c_str(),
+        hold.from.c_str(), hold.to.c_str(),
+        static_cast<long long>(hold.amount.micros()));
+  }
+  for (const auto& [id, amount] : applied) {
+    canonical += StrFormat("applied|%s|%lld\n", id.c_str(),
+                           static_cast<long long>(amount.micros()));
+  }
+  canonical += StrFormat(
+      "minted|%lld|in|%lld|out|%lld|seq|%llu\n",
+      static_cast<long long>(minted.micros()),
+      static_cast<long long>(settled_in.micros()),
+      static_cast<long long>(settled_out.micros()),
+      static_cast<unsigned long long>(next_settlement_seq));
+  return canonical;
+}
+
+TEST(BankShardTest, LedgerHashIsShaOfCanonicalText) {
+  // Recorded ledger hashes stay comparable only while the hashed bytes
+  // do: zero, small and near-int64-max balances, a mint, an open hold, a
+  // released hold and an applied credit must all hash exactly as the
+  // reference text renders them.
+  constexpr Micros kLarge = 4'000'000'000'000'000'123;
+  BankShard shard(0);
+  ASSERT_TRUE(shard.CreateAccount("large", Money::FromMicros(kLarge)).ok());
+  ASSERT_TRUE(shard.CreateAccount("small", Money::FromMicros(7)).ok());
+  ASSERT_TRUE(shard.CreateAccount("zero").ok());
+  ASSERT_TRUE(shard.CreateAccount("credited").ok());
+  ASSERT_TRUE(shard.Mint("small", Money::FromMicros(250'000), 10).ok());
+  const auto open = shard.PrepareDebit("large", "remote-a",
+                                       Money::FromMicros(1'500'000), 20);
+  ASSERT_TRUE(open.ok());
+  EXPECT_EQ(*open, "s0-1");
+  const auto released =
+      shard.PrepareDebit("small", "remote-b", Money::FromMicros(5), 30);
+  ASSERT_TRUE(released.ok());
+  ASSERT_TRUE(shard.ReleaseHold(*released, 40).ok());
+  ASSERT_TRUE(
+      shard.ApplyCredit("s3-17", "credited", Money::FromMicros(42), 50).ok());
+
+  SettlementHold hold;
+  hold.settlement_id = "s0-1";
+  hold.from = "large";
+  hold.to = "remote-a";
+  hold.amount = Money::FromMicros(1'500'000);
+  const std::string canonical = ReferenceCanonicalText(
+      {{"credited", Money::FromMicros(42)},
+       {"large", Money::FromMicros(kLarge - 1'500'000)},
+       {"small", Money::FromMicros(250'002)},
+       {"zero", Money::Zero()}},
+      {hold}, {{"s3-17", Money::FromMicros(42)}},
+      /*minted=*/Money::FromMicros(kLarge + 250'007),
+      /*settled_in=*/Money::FromMicros(42),
+      /*settled_out=*/Money::FromMicros(5), /*next_settlement_seq=*/3);
+  EXPECT_EQ(shard.LedgerHash(), crypto::Sha256::HexDigest(canonical));
+  EXPECT_TRUE(shard.CheckLocalInvariants().ok());
 }
 
 TEST(ReconcilerTest, SignsVerifiableConservationReport) {

@@ -36,23 +36,38 @@ TEST(Sha256Test, MillionAs) {
 TEST(Sha256Test, ExactBlockBoundary) {
   // 64 bytes == exactly one block; padding goes into a second block.
   const std::string block(64, 'x');
-  EXPECT_EQ(Sha256::HexDigest(block).size(), 64u);
-  // 55 and 56 bytes straddle the padding boundary (56 forces a new block).
+  EXPECT_EQ(Sha256::HexDigest(block),
+            "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c");
+  // 55 and 56 bytes straddle the padding boundary: 55 leaves room for
+  // the length in the same block, 56 forces a new block.
   const std::string s55(55, 'y');
   const std::string s56(56, 'y');
-  EXPECT_NE(Sha256::HexDigest(s55), Sha256::HexDigest(s56));
+  EXPECT_EQ(Sha256::HexDigest(s55),
+            "fb66d40c3bfff05b0d5af8612d0abfbfacc6f5f26c330bc7ad634f1f44bc20ad");
+  EXPECT_EQ(Sha256::HexDigest(s56),
+            "4877e564e5e36e367c7c8d59670774becd3350610b6df4c399c9fa9b66da5813");
 }
 
 TEST(Sha256Test, StreamingMatchesOneShot) {
-  const std::string message =
-      "The quick brown fox jumps over the lazy dog, repeatedly and with "
-      "great determination, across several update calls.";
-  Sha256 streaming;
-  for (std::size_t i = 0; i < message.size(); i += 7)
-    streaming.Update(std::string_view(message).substr(i, 7));
-  const auto digest = streaming.Finalize();
-  EXPECT_EQ(HexEncode(digest.data(), digest.size()),
-            Sha256::HexDigest(message));
+  // 333 bytes: five full blocks and a 13-byte tail. Chunk sizes around
+  // the 55/56 padding edge and the 64-byte block size make the buffer
+  // fill, flush and straddle blocks at every offset mix.
+  std::string message;
+  while (message.size() < 333)
+    message +=
+        "The quick brown fox jumps over the lazy dog, repeatedly and with "
+        "great determination, across several update calls. ";
+  message.resize(333);
+  const std::string expected = Sha256::HexDigest(message);
+  constexpr std::size_t kChunks[] = {7, 1, 55, 56, 63, 64, 65, 200};
+  for (const std::size_t chunk : kChunks) {
+    Sha256 streaming;
+    for (std::size_t i = 0; i < message.size(); i += chunk)
+      streaming.Update(std::string_view(message).substr(i, chunk));
+    const auto digest = streaming.Finalize();
+    EXPECT_EQ(HexEncode(digest.data(), digest.size()), expected)
+        << "chunk " << chunk;
+  }
 }
 
 TEST(Sha256Test, BytesAndStringAgree) {

@@ -127,9 +127,9 @@ TEST(ParallelRunnerTest, EightThreadsMatchSerialBitForBit) {
   ASSERT_TRUE(parallel_report.ok());
 
   // The acceptance bar: identical ledger hash, not merely equal totals.
-  EXPECT_FALSE(serial_report->fed_ledger_hash.empty());
-  EXPECT_EQ(parallel_report->fed_ledger_hash,
-            serial_report->fed_ledger_hash);
+  const std::string serial_hash = serial.federation->LedgerHash();
+  EXPECT_FALSE(serial_hash.empty());
+  EXPECT_EQ(parallel.federation->LedgerHash(), serial_hash);
 
   EXPECT_EQ(parallel_report->rounds, kRounds);
   EXPECT_EQ(parallel_report->shards, kShards);
@@ -168,9 +168,9 @@ TEST(ParallelRunnerFederationTest, EightThreadsMatchSerialBitForBit) {
   const auto parallel_report = parallel.runner->Run(kRounds);
   ASSERT_TRUE(parallel_report.ok());
 
-  EXPECT_FALSE(serial_report->fed_ledger_hash.empty());
-  EXPECT_EQ(parallel_report->fed_ledger_hash,
-            serial_report->fed_ledger_hash);
+  const std::string serial_hash = serial.federation->LedgerHash();
+  EXPECT_FALSE(serial_hash.empty());
+  EXPECT_EQ(parallel.federation->LedgerHash(), serial_hash);
   EXPECT_EQ(parallel_report->fed_ops_applied,
             serial_report->fed_ops_applied);
   EXPECT_EQ(parallel_report->fed_ops_failed, 0u);
@@ -208,9 +208,9 @@ TEST(ParallelRunnerTest, ChurnedBidsStayDeterministic) {
   const auto parallel_report = parallel.runner->Run(kRounds);
   ASSERT_TRUE(parallel_report.ok());
 
-  EXPECT_FALSE(serial_report->fed_ledger_hash.empty());
-  EXPECT_EQ(parallel_report->fed_ledger_hash,
-            serial_report->fed_ledger_hash);
+  const std::string serial_hash = serial.federation->LedgerHash();
+  EXPECT_FALSE(serial_hash.empty());
+  EXPECT_EQ(parallel.federation->LedgerHash(), serial_hash);
   EXPECT_EQ(parallel_report->fed_ops_applied,
             serial_report->fed_ops_applied);
   for (std::size_t i = 0; i < kShards; ++i) {
@@ -232,13 +232,12 @@ TEST(ParallelRunnerTest, RepeatedRunsContinueDeterministically) {
   // Two short Runs must equal one long Run regardless of mode: shard RNG
   // streams persist across calls.
   ASSERT_TRUE(a.runner->Run(2).ok());
-  const auto a2 = a.runner->Run(3);
-  ASSERT_TRUE(a2.ok());
+  ASSERT_TRUE(a.runner->Run(3).ok());
   ASSERT_TRUE(b.runner->Run(2).ok());
-  const auto b2 = b.runner->Run(3);
-  ASSERT_TRUE(b2.ok());
-  EXPECT_FALSE(a2->fed_ledger_hash.empty());
-  EXPECT_EQ(a2->fed_ledger_hash, b2->fed_ledger_hash);
+  ASSERT_TRUE(b.runner->Run(3).ok());
+  const std::string a_hash = a.federation->LedgerHash();
+  EXPECT_FALSE(a_hash.empty());
+  EXPECT_EQ(b.federation->LedgerHash(), a_hash);
 }
 
 TEST(ParallelRunnerTest, RunWithoutShardsFails) {
