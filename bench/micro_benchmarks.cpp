@@ -39,6 +39,10 @@ void BM_BestResponseSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_BestResponseSolve)->Arg(15)->Arg(100)->Arg(600);
 
+// One allocation interval per iteration, driven through the kernel so
+// each tick sees a fresh interval: every VM is runnable, gets a slice and
+// is charged. Items are bidders, so the items/s column reads as the
+// per-bidder cost of a tick.
 void BM_AuctioneerTick(benchmark::State& state) {
   const int users = static_cast<int>(state.range(0));
   sim::Kernel kernel;
@@ -59,12 +63,21 @@ void BM_AuctioneerTick(benchmark::State& state) {
     auto vm = auctioneer.AcquireVm(user);
     (*vm)->Enqueue({1, 1e18, nullptr});
   }
+  const sim::SimDuration interval = auctioneer.config().interval;
+  auctioneer.Start();
+  kernel.RunUntil(2 * interval);  // warm up allocations
+  const Money revenue_before = auctioneer.total_revenue();
   for (auto _ : state) {
-    auctioneer.Tick();
+    kernel.RunUntil(kernel.now() + interval);
     benchmark::DoNotOptimize(auctioneer.SpotPriceRate());
   }
+  auctioneer.Stop();
+  if (auctioneer.total_revenue() <= revenue_before) {
+    state.SkipWithError("ticks charged nothing: no slice was allocated");
+  }
+  state.SetItemsProcessed(state.iterations() * users);
 }
-BENCHMARK(BM_AuctioneerTick)->Arg(2)->Arg(15);
+BENCHMARK(BM_AuctioneerTick)->Arg(2)->Arg(15)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_Sha256(benchmark::State& state) {
   const std::size_t size = static_cast<std::size_t>(state.range(0));

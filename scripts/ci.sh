@@ -2,8 +2,8 @@
 # Full CI gate: determinism/money lint, clang-tidy (when available), tier-1
 # build + tests (warnings as errors), the telemetry smoke stage (chaos
 # example must emit a parseable JSONL with a complete job span chain), the
-# bench smoke stages, the benchmark build + logic tests, then the
-# sanitizer job.
+# auction-tick microbenchmark, the benchmark build, logic tests and output
+# checks, then the sanitizer job.
 # Usage: scripts/ci.sh [ctest args...]
 set -euo pipefail
 
@@ -150,82 +150,24 @@ done
 echo "telemetry smoke: JSONL parses, submit->refund chain complete"
 end_stage
 
-begin_stage "market bench smoke" 120
-(cd "$SMOKE_DIR" && "$OLDPWD/$BUILD_DIR/bench/market_hot_path" --smoke \
-  > market_hot_path.log)
-BENCH_JSON="$SMOKE_DIR/BENCH_market.json"
-[ -s "$BENCH_JSON" ] || { echo "BENCH_market.json missing or empty"; exit 1; }
-python3 - "$BENCH_JSON" <<'EOF'
+begin_stage "micro: auction tick" 60
+# The per-bidder tick rows, 2 to 10k bidders. A row whose ticks charged
+# nothing is skipped with an error by the benchmark and fails here.
+TICK_JSON="$SMOKE_DIR/auction_tick.json"
+"$BUILD_DIR/bench/micro_benchmarks" --benchmark_filter=BM_AuctioneerTick \
+  --benchmark_min_time=0.05 --benchmark_out="$TICK_JSON" \
+  --benchmark_out_format=json
+python3 - "$TICK_JSON" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
-    doc = json.load(f)
-if doc.get("benchmark") != "market":
-    sys.exit("BENCH_market.json: benchmark field is not 'market'")
-rows = {row["name"]: row["value"] for row in doc["results"]}
-for name in ("setbid_ns_100", "tick_ns_100", "legacy_tick_ns_100"):
-    if name not in rows:
-        sys.exit(f"BENCH_market.json: missing row '{name}'")
-    if not rows[name] > 0:
-        sys.exit(f"BENCH_market.json: row '{name}' not positive: "
-                 f"{rows[name]}")
+    rows = {row["name"]: row for row in json.load(f)["benchmarks"]}
+for bidders in (2, 15, 100, 1000, 10000):
+    row = rows.get(f"BM_AuctioneerTick/{bidders}")
+    if row is None or row.get("error_occurred"):
+        sys.exit(f"BM_AuctioneerTick/{bidders}: missing or skipped: "
+                 f"{row and row.get('error_message')}")
 EOF
-echo "market bench smoke: BENCH_market.json valid (ns/bid and ns/tick > 0)"
-end_stage
-
-begin_stage "scale sweep smoke" 180
-(cd "$SMOKE_DIR" && "$OLDPWD/$BUILD_DIR/bench/scale_sweep" --smoke \
-  > scale_sweep.log)
-SCALE_JSON="$SMOKE_DIR/BENCH_scale.json"
-[ -s "$SCALE_JSON" ] || { echo "BENCH_scale.json missing or empty"; exit 1; }
-python3 - "$SCALE_JSON" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-if doc.get("benchmark") != "scale":
-    sys.exit("BENCH_scale.json: benchmark field is not 'scale'")
-rows = {row["name"]: row["value"] for row in doc["results"]}
-for name in ("hosts", "accounts", "bank_shards", "account_fund_per_sec",
-             "ticks_per_sec", "submit_p99_us"):
-    if name not in rows:
-        sys.exit(f"BENCH_scale.json: missing row '{name}'")
-    if not rows[name] > 0:
-        sys.exit(f"BENCH_scale.json: row '{name}' not positive: "
-                 f"{rows[name]}")
-for name in ("crash_recover_bitidentical", "conserved"):
-    if rows.get(name) != 1:
-        sys.exit(f"BENCH_scale.json: acceptance row '{name}' != 1: "
-                 f"{rows.get(name)}")
-EOF
-echo "scale sweep smoke: BENCH_scale.json valid (throughput > 0," \
-     "recovery bit-identical, money conserved)"
-end_stage
-
-begin_stage "scenario smoke" 180
-(cd "$SMOKE_DIR" && "$OLDPWD/$BUILD_DIR/bench/scenario_sweep" --smoke \
-  > scenario_sweep.log)
-SCENARIO_JSON="$SMOKE_DIR/BENCH_scenario.json"
-[ -s "$SCENARIO_JSON" ] || {
-  echo "BENCH_scenario.json missing or empty"; exit 1; }
-python3 - "$SCENARIO_JSON" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-if doc.get("benchmark") != "scenario":
-    sys.exit("BENCH_scenario.json: benchmark field is not 'scenario'")
-rows = {row["name"]: row["value"] for row in doc["results"]}
-for name in ("arrivals_per_sec", "flash_recovery_s"):
-    if name not in rows:
-        sys.exit(f"BENCH_scenario.json: missing row '{name}'")
-    if not rows[name] > 0:
-        sys.exit(f"BENCH_scenario.json: row '{name}' not positive: "
-                 f"{rows[name]}")
-for name in ("slo_pass", "conserved", "serial_parallel_bitidentical"):
-    if rows.get(name) != 1:
-        sys.exit(f"BENCH_scenario.json: acceptance row '{name}' != 1: "
-                 f"{rows.get(name)}")
-EOF
-echo "scenario smoke: BENCH_scenario.json valid (SLOs pass, money" \
-     "conserved, serial == 8-thread, flash crowd recovered)"
+echo "micro: auction tick charged revenue at every bidder count"
 end_stage
 
 begin_stage "benchmark: drivers build + logic tests" 600
