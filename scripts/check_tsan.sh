@@ -20,4 +20,4 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 # re-run single-threaded logic at 5-15x slowdown for no extra coverage.
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
 ctest --test-dir "$BUILD_DIR" --output-on-failure --timeout 300 \
-  -R "Concurrency|Parallel|Mutex|CondVar|ThreadPool|ThreadTest" "$@"
+  -R "Concurrency|Parallel|Mutex|CondVar|ThreadPool|ThreadTest|FederationAudit" "$@"

@@ -331,29 +331,44 @@ bool FederationRouter::IsSettlementSpent(
 }
 
 Status FederationRouter::CheckConservation() const {
+  struct ShardAudit {
+    Status status;
+    ShardSnapshotInfo info;
+    Money in_flight;
+  };
+  std::vector<ShardAudit> audits(shards_.size());
+  gm::ParallelFor(audit_pool(), shards_.size(), [&](std::size_t i) {
+    const BankShard* shard = shards_[i];
+    ShardAudit& audit = audits[i];
+    if (shard->crashed()) {
+      audit.status = Status::Unavailable(StrFormat(
+          "shard %zu is down: federation totals unverifiable", shard->index()));
+      return;
+    }
+    audit.status = shard->CheckLocalInvariants();
+    if (!audit.status.ok()) return;
+    audit.info = shard->SnapshotInfo();
+    // The credited-but-unreleased window: the hold still counts on the
+    // debtor while the creditor already holds the money.
+    for (const SettlementHold& hold : shard->OpenHolds()) {
+      if (ShardFor(hold.to)->HasAppliedSettlement(hold.settlement_id))
+        audit.in_flight += hold.amount;
+    }
+  });
   Money balances;
   Money holds;
   Money minted;
   Money settled_in;
   Money settled_out;
   Money in_flight;
-  for (BankShard* shard : shards_) {
-    if (shard->crashed())
-      return Status::Unavailable(StrFormat(
-          "shard %zu is down: federation totals unverifiable", shard->index()));
-    GM_RETURN_IF_ERROR(shard->CheckLocalInvariants());
-    const ShardSnapshotInfo info = shard->SnapshotInfo();
-    balances += info.balance_total;
-    holds += info.hold_total;
-    minted += info.minted;
-    settled_in += info.settled_in;
-    settled_out += info.settled_out;
-    // The credited-but-unreleased window: the hold still counts on the
-    // debtor while the creditor already holds the money.
-    for (const SettlementHold& hold : shard->OpenHolds()) {
-      if (ShardFor(hold.to)->HasAppliedSettlement(hold.settlement_id))
-        in_flight += hold.amount;
-    }
+  for (const ShardAudit& audit : audits) {
+    GM_RETURN_IF_ERROR(audit.status);
+    balances += audit.info.balance_total;
+    holds += audit.info.hold_total;
+    minted += audit.info.minted;
+    settled_in += audit.info.settled_in;
+    settled_out += audit.info.settled_out;
+    in_flight += audit.in_flight;
   }
   if (balances + holds - in_flight != minted)
     return Status::Internal(StrFormat(
@@ -386,12 +401,15 @@ Result<Money> FederationRouter::TotalMoney() const {
 }
 
 std::string FederationRouter::LedgerHash() const {
+  std::vector<std::string> lines(shards_.size());
+  gm::ParallelFor(audit_pool(), shards_.size(), [&](std::size_t i) {
+    const BankShard* shard = shards_[i];
+    lines[i] = StrFormat("shard%zu|%s\n", shard->index(),
+                         shard->crashed() ? "down"
+                                          : shard->LedgerHash().c_str());
+  });
   std::string canonical;
-  for (BankShard* shard : shards_) {
-    canonical += StrFormat("shard%zu|%s\n", shard->index(),
-                           shard->crashed() ? "down"
-                                            : shard->LedgerHash().c_str());
-  }
+  for (const std::string& line : lines) canonical += line;
   return crypto::Sha256::HexDigest(canonical);
 }
 

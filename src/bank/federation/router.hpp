@@ -30,6 +30,11 @@
 // counters — it IS held across shard calls on the settlement path (rank
 // order router < shard makes that legal) so that the claim in step 3 is
 // atomic with its credit, but shard-local traffic never touches it.
+//
+// Audits: LedgerHash and CheckConservation walk every shard. With a pool
+// lent (AttachPool; a ParallelRunner lends its own) they run one task
+// per shard and combine the per-shard results in shard-index order, so
+// the hash, the Status and its message are the serial walk's.
 #pragma once
 
 #include <atomic>
@@ -124,7 +129,8 @@ class FederationRouter {
   /// creditor shard has already applied (the credited-but-unreleased
   /// window). Also validates each shard's local invariant and the
   /// settled_in/settled_out vs in_flight identity. Unavailable if any
-  /// shard is down. Callers must be quiescent (no concurrent transfers).
+  /// shard is down; the first failing shard in index order decides the
+  /// error. Callers must be quiescent (no concurrent transfers).
   Status CheckConservation() const;
 
   /// Total Money minted across live shards.
@@ -135,6 +141,20 @@ class FederationRouter {
   std::string LedgerHash() const;
 
   RouterStats Stats() const;
+
+  /// Run the audits' per-shard walks on `pool` (non-owning; it must
+  /// outlive its attachment). An audit must then not be called from one
+  /// of `pool`'s own workers.
+  void AttachPool(gm::ThreadPool* pool) {
+    pool_.store(pool, std::memory_order_release);
+  }
+  /// Detach `pool` if it is the one attached; audits then run inline.
+  void DetachPool(gm::ThreadPool* pool) {
+    pool_.compare_exchange_strong(pool, nullptr, std::memory_order_acq_rel);
+  }
+  gm::ThreadPool* audit_pool() const {
+    return pool_.load(std::memory_order_acquire);
+  }
 
   /// Counters "fed.router.*" and the settlement latency histogram
   /// "fed.settle_latency_ns" (wall clock, WAL-style). nullptr detaches.
@@ -157,6 +177,8 @@ class FederationRouter {
   std::atomic<telemetry::Counter*> settlements_ctr_{nullptr};
   std::atomic<telemetry::Counter*> aborts_ctr_{nullptr};
   std::atomic<telemetry::LatencyHistogram*> settle_latency_{nullptr};
+  // Lent audit pool; atomic like the metric pointers above.
+  std::atomic<gm::ThreadPool*> pool_{nullptr};
 };
 
 }  // namespace gm::bank::federation

@@ -107,10 +107,7 @@ Status BankShard::CreateAccount(const std::string& id,
   record.WriteString(id);
   record.WriteI64(initial_balance.micros());
   GM_RETURN_IF_ERROR(Journal(record));
-  ShardAccount account;
-  account.id = id;
-  account.balance = initial_balance;
-  accounts_.emplace(id, std::move(account));
+  accounts_.emplace(id, ShardAccount{initial_balance});
   minted_ += initial_balance;
   return Checkpoint();
 }
@@ -458,11 +455,9 @@ Status BankShard::ApplyRecord(const Bytes& record)
     case kRecordCreate: {
       GM_ASSIGN_OR_RETURN(const std::string id, reader.ReadString());
       GM_ASSIGN_OR_RETURN(const std::int64_t micros, reader.ReadI64());
-      ShardAccount account;
-      account.id = id;
-      account.balance = Money::FromMicros(micros);
-      minted_ += account.balance;
-      accounts_[id] = std::move(account);
+      const Money balance = Money::FromMicros(micros);
+      minted_ += balance;
+      accounts_[id] = ShardAccount{balance};
       return Status::Ok();
     }
     case kRecordMint: {
@@ -566,7 +561,7 @@ void BankShard::WriteSnapshot(net::Writer& writer) const
   writer.WriteVarint(kSnapshotVersion);
   writer.WriteVarint(accounts_.size());
   for (const auto& [id, account] : accounts_) {
-    writer.WriteString(account.id);
+    writer.WriteString(id);
     writer.WriteI64(account.balance.micros());
   }
   writer.WriteVarint(holds_.size());
@@ -599,11 +594,9 @@ Status BankShard::LoadSnapshot(net::Reader& reader)
   ClearState();
   GM_ASSIGN_OR_RETURN(const std::uint64_t account_count, reader.ReadVarint());
   for (std::uint64_t i = 0; i < account_count; ++i) {
-    ShardAccount account;
-    GM_ASSIGN_OR_RETURN(account.id, reader.ReadString());
+    GM_ASSIGN_OR_RETURN(std::string id, reader.ReadString());
     GM_ASSIGN_OR_RETURN(const std::int64_t micros, reader.ReadI64());
-    account.balance = Money::FromMicros(micros);
-    accounts_[account.id] = std::move(account);
+    accounts_[std::move(id)] = ShardAccount{Money::FromMicros(micros)};
   }
   GM_ASSIGN_OR_RETURN(const std::uint64_t hold_count, reader.ReadVarint());
   for (std::uint64_t i = 0; i < hold_count; ++i) {
@@ -642,7 +635,7 @@ std::string BankShard::LedgerHash() const {
   crypto::Sha256 hasher;
   for (const auto& [id, account] : accounts_) {
     hasher.Update("acct|");
-    hasher.Update(account.id.c_str());
+    hasher.Update(id.c_str());
     hasher.Update("|");
     UpdateDecimal(hasher, account.balance.micros());
     hasher.Update("\n");

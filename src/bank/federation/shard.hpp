@@ -52,8 +52,8 @@
 
 namespace gm::bank::federation {
 
+/// One account's state; its id is the key it is stored under.
 struct ShardAccount {
-  std::string id;
   Money balance;
 };
 

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/status.hpp"
+
 namespace gm {
 namespace {
 
@@ -20,6 +22,9 @@ struct HeldLock {
 thread_local std::vector<HeldLock> held_locks;
 
 std::atomic<bool> checking_enabled{true};
+
+// The pool whose WorkerLoop runs on this thread, if any.
+thread_local const ThreadPool* current_pool = nullptr;
 
 [[noreturn]] void DieOnRankInversion(const Mutex& acquiring) {
   std::fprintf(stderr,
@@ -54,7 +59,6 @@ int HeldLockCount() { return static_cast<int>(held_locks.size()); }
 // gmstatic's lock-order rule fails the build when this table and the
 // lockrank namespace drift apart.
 constexpr LockRankEntry kLockRankTable[] = {
-    {"kThreadPool", lockrank::kThreadPool},
     {"kRpcClient", lockrank::kRpcClient},
     {"kRpcServer", lockrank::kRpcServer},
     {"kBus", lockrank::kBus},
@@ -70,6 +74,7 @@ constexpr LockRankEntry kLockRankTable[] = {
     {"kMetricsRegistry", lockrank::kMetricsRegistry},
     {"kMetric", lockrank::kMetric},
     {"kTracer", lockrank::kTracer},
+    {"kThreadPool", lockrank::kThreadPool},
     {"kLogger", lockrank::kLogger},
 };
 
@@ -115,6 +120,69 @@ void CondVar::Wait(Mutex& mu) {
   std::unique_lock<std::mutex> native(mu.native(), std::adopt_lock);
   cv_.wait(native);
   native.release();
+}
+
+ThreadPool::ThreadPool(int threads) {
+  if (threads < 1) threads = 1;
+  workers_.reserve(static_cast<std::size_t>(threads));
+  for (int i = 0; i < threads; ++i)
+    workers_.emplace_back([this] { WorkerLoop(); });
+}
+
+ThreadPool::~ThreadPool() {
+  {
+    MutexLock lock(&mu_);
+    stop_ = true;
+  }
+  work_cv_.NotifyAll();
+  workers_.clear();  // gm::Thread joins on destruction
+}
+
+void ThreadPool::Submit(std::function<void()> task) {
+  GM_ASSERT(task != nullptr, "null pool task");
+  {
+    MutexLock lock(&mu_);
+    GM_ASSERT(!stop_, "submit on stopped pool");
+    queue_.push_back(std::move(task));
+  }
+  work_cv_.NotifyOne();
+}
+
+void ThreadPool::WaitIdle() {
+  GM_ASSERT(current_pool != this,
+            "ThreadPool::WaitIdle called from one of its own workers");
+  MutexLock lock(&mu_);
+  while (!queue_.empty() || active_ > 0) idle_cv_.Wait(mu_);
+}
+
+void ThreadPool::WorkerLoop() {
+  current_pool = this;
+  mu_.Lock();
+  for (;;) {
+    while (!stop_ && queue_.empty()) work_cv_.Wait(mu_);
+    if (queue_.empty()) break;  // stop requested and nothing left to drain
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    ++active_;
+    mu_.Unlock();
+    // The task runs with no pool lock held: it may take any component
+    // mutex.
+    task();
+    mu_.Lock();
+    --active_;
+    if (queue_.empty() && active_ == 0) idle_cv_.NotifyAll();
+  }
+  mu_.Unlock();
+}
+
+void ParallelFor(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) pool->Submit([&fn, i] { fn(i); });
+  pool->WaitIdle();
 }
 
 }  // namespace gm

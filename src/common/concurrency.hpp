@@ -23,10 +23,12 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <utility>
+#include <vector>
 
 // -- Clang thread-safety capability attributes (no-ops elsewhere) --
 
@@ -64,7 +66,6 @@ namespace gm {
 // histogram (kMetric), and anything may log (kLogger, the maximum).
 // Adding a lock means picking its place in this order, deliberately.
 namespace lockrank {
-inline constexpr int kThreadPool = 5;
 inline constexpr int kRpcClient = 10;
 inline constexpr int kRpcServer = 12;
 inline constexpr int kBus = 15;
@@ -84,6 +85,10 @@ inline constexpr int kWal = 50;
 inline constexpr int kMetricsRegistry = 60;
 inline constexpr int kMetric = 62;
 inline constexpr int kTracer = 65;
+// A leaf: workers take it holding nothing and run tasks with it released,
+// so a caller may Submit/WaitIdle under any component lock (e.g. the
+// reconciler's, while it audits the federation on a lent pool).
+inline constexpr int kThreadPool = 68;
 inline constexpr int kLogger = 70;
 }  // namespace lockrank
 
@@ -170,6 +175,43 @@ class Thread {
  private:
   std::thread thread_;
 };
+
+/// Fixed-size pool of gm::Thread workers draining a task queue. Tasks run
+/// with no pool lock held, so they may acquire any component mutex.
+class ThreadPool {
+ public:
+  explicit ThreadPool(int threads);
+  ~ThreadPool();
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
+
+  void Submit(std::function<void()> task);
+  /// Block until the queue is empty and every worker is idle. This is a
+  /// barrier: after it returns, all effects of submitted tasks
+  /// happen-before the caller's next read. Calling it from one of this
+  /// pool's own workers is a GM_ASSERT (it would wait on itself).
+  void WaitIdle();
+
+  int thread_count() const { return static_cast<int>(workers_.size()); }
+
+ private:
+  void WorkerLoop();
+
+  mutable Mutex mu_{"common.thread_pool", lockrank::kThreadPool};
+  CondVar work_cv_;
+  CondVar idle_cv_;
+  std::deque<std::function<void()>> queue_ GM_GUARDED_BY(mu_);
+  int active_ GM_GUARDED_BY(mu_) = 0;
+  bool stop_ GM_GUARDED_BY(mu_) = false;
+  std::vector<Thread> workers_;
+};
+
+/// Run fn(0) .. fn(n-1): as n tasks on `pool` followed by its WaitIdle
+/// barrier, or inline in index order when `pool` is null. Callers that
+/// must match the inline result write per-index slots and combine them
+/// in index order after the call.
+void ParallelFor(ThreadPool* pool, std::size_t n,
+                 const std::function<void(std::size_t)>& fn);
 
 // -- Lock-rank registry (debug discipline, on by default) --
 

@@ -1,6 +1,5 @@
 #include "host/parallel_runner.hpp"
 
-#include <memory>
 #include <utility>
 
 #include "common/log.hpp"
@@ -24,60 +23,22 @@ std::string BidderName(const market::Auctioneer& auctioneer, int k) {
 
 }  // namespace
 
-ThreadPool::ThreadPool(int threads) {
-  if (threads < 1) threads = 1;
-  workers_.reserve(static_cast<std::size_t>(threads));
-  for (int i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { WorkerLoop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    gm::MutexLock lock(&mu_);
-    stop_ = true;
-  }
-  work_cv_.NotifyAll();
-  workers_.clear();  // gm::Thread joins on destruction
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  GM_ASSERT(task != nullptr, "null pool task");
-  {
-    gm::MutexLock lock(&mu_);
-    GM_ASSERT(!stop_, "submit on stopped pool");
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.NotifyOne();
-}
-
-void ThreadPool::WaitIdle() {
-  gm::MutexLock lock(&mu_);
-  while (!queue_.empty() || active_ > 0) idle_cv_.Wait(mu_);
-}
-
-void ThreadPool::WorkerLoop() {
-  mu_.Lock();
-  for (;;) {
-    while (!stop_ && queue_.empty()) work_cv_.Wait(mu_);
-    if (queue_.empty()) break;  // stop requested and nothing left to drain
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    ++active_;
-    mu_.Unlock();
-    // The task runs with no pool lock held: it may take any component
-    // mutex (all ranks sit above kThreadPool).
-    task();
-    mu_.Lock();
-    --active_;
-    if (queue_.empty() && active_ == 0) idle_cv_.NotifyAll();
-  }
-  mu_.Unlock();
-}
-
 ParallelRunner::ParallelRunner(sim::Kernel& kernel,
                                ParallelRunnerConfig config)
     : kernel_(kernel), config_(config) {
   GM_ASSERT(config_.interval > 0, "runner interval must be positive");
+  if (!config_.serial)
+    pool_ = std::make_unique<gm::ThreadPool>(config_.threads);
+}
+
+ParallelRunner::~ParallelRunner() { SetFederation(nullptr); }
+
+void ParallelRunner::SetFederation(
+    bank::federation::FederationRouter* federation) {
+  if (federation_ != nullptr) federation_->DetachPool(pool_.get());
+  federation_ = federation;
+  if (federation_ != nullptr && pool_ != nullptr)
+    federation_->AttachPool(pool_.get());
 }
 
 void ParallelRunner::AddShard(market::Auctioneer* auctioneer,
@@ -179,7 +140,7 @@ void ParallelRunner::RunShard(Shard& shard, sim::SimTime now) {
   }
 }
 
-void ParallelRunner::MergeFederationOps(ThreadPool* pool, sim::SimTime now,
+void ParallelRunner::MergeFederationOps(sim::SimTime now,
                                         ParallelRunReport& report) {
   // Group buffered transfers by DEBTOR bank shard, preserving runner-
   // shard order inside each group. A settlement id is minted under the
@@ -218,15 +179,7 @@ void ParallelRunner::MergeFederationOps(ThreadPool* pool, sim::SimTime now,
       }
     }
   };
-  if (pool == nullptr) {
-    for (std::size_t g = 0; g < bank_shards; ++g) apply_group(g);
-  } else {
-    for (std::size_t g = 0; g < bank_shards; ++g) {
-      if (groups[g].empty()) continue;
-      pool->Submit([&apply_group, g] { apply_group(g); });
-    }
-    pool->WaitIdle();
-  }
+  gm::ParallelFor(pool_.get(), bank_shards, apply_group);
   for (std::size_t g = 0; g < bank_shards; ++g) {
     report.fed_ops_applied += applied[g];
     report.fed_ops_failed += failed[g];
@@ -244,9 +197,6 @@ Result<ParallelRunReport> ParallelRunner::Run(int rounds) {
   ParallelRunReport report;
   report.shards = shards_.size();
 
-  std::unique_ptr<ThreadPool> pool;
-  if (!config_.serial) pool = std::make_unique<ThreadPool>(config_.threads);
-
   for (int round = 0; round < rounds; ++round) {
     // Phase 1: only the main thread advances simulated time; workers
     // treat the clock as frozen for the whole parallel phase.
@@ -254,20 +204,13 @@ Result<ParallelRunReport> ParallelRunner::Run(int rounds) {
     const sim::SimTime now = kernel_.now();
 
     // Phase 2: every shard ticks, on the pool or inline in shard order.
-    if (config_.serial) {
-      for (Shard& shard : shards_) RunShard(shard, now);
-    } else {
-      for (Shard& shard : shards_) {
-        Shard* target = &shard;
-        pool->Submit([this, target, now] { RunShard(*target, now); });
-      }
-      pool->WaitIdle();
-    }
+    gm::ParallelFor(pool_.get(), shards_.size(),
+                    [this, now](std::size_t i) { RunShard(shards_[i], now); });
     report.ticks += shards_.size();
 
     // Phase 3: apply the buffered transfers — the merge is what makes
     // the parallel ledger bit-identical to the serial one.
-    MergeFederationOps(pool.get(), now, report);
+    MergeFederationOps(now, report);
     // Replay ops run after the round's transfers have settled, in shard
     // order, so each probe sees a deterministic registry state.
     for (Shard& shard : shards_) {

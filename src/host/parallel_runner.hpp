@@ -26,8 +26,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,36 +38,6 @@
 #include "sim/kernel.hpp"
 
 namespace gm::host {
-
-/// Fixed-size pool of gm::Thread workers draining a task queue. Tasks run
-/// with no pool lock held, so they may acquire any component mutex (the
-/// pool's own rank, kThreadPool, is the lowest in the tree).
-class ThreadPool {
- public:
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void Submit(std::function<void()> task);
-  /// Block until the queue is empty and every worker is idle. This is the
-  /// merge barrier: after it returns, all effects of submitted tasks
-  /// happen-before the caller's next read.
-  void WaitIdle();
-
-  int thread_count() const { return static_cast<int>(workers_.size()); }
-
- private:
-  void WorkerLoop();
-
-  mutable gm::Mutex mu_{"host.thread_pool", gm::lockrank::kThreadPool};
-  gm::CondVar work_cv_;
-  gm::CondVar idle_cv_;
-  std::deque<std::function<void()>> queue_ GM_GUARDED_BY(mu_);
-  int active_ GM_GUARDED_BY(mu_) = 0;
-  bool stop_ GM_GUARDED_BY(mu_) = false;
-  std::vector<gm::Thread> workers_;
-};
 
 /// A buffered cross-shard effect a load source emits during the parallel
 /// phase; the runner applies it at the merge barrier in fixed order.
@@ -143,7 +112,14 @@ struct ParallelRunReport {
 
 class ParallelRunner {
  public:
+  /// Starts the runner's worker pool (config.threads workers) unless
+  /// config.serial; the pool lives as long as the runner.
   ParallelRunner(sim::Kernel& kernel, ParallelRunnerConfig config);
+  /// Takes the pool back from the federation (see SetFederation), so the
+  /// federation must still be alive here.
+  ~ParallelRunner();
+  ParallelRunner(const ParallelRunner&) = delete;
+  ParallelRunner& operator=(const ParallelRunner&) = delete;
 
   /// Register one auction shard. `funding_account` and `host_account`
   /// must exist in the federation; buffered transfers move funding ->
@@ -157,9 +133,10 @@ class ParallelRunner {
   /// minted under its debtor shard's lock, in fixed group order), so the
   /// federation ledger after the merge is bit-identical to a serial
   /// run's even though auctioneer shards charge bank shards in parallel.
-  void SetFederation(bank::federation::FederationRouter* federation) {
-    federation_ = federation;
-  }
+  /// The runner also lends its pool to the federation's audits
+  /// (LedgerHash, CheckConservation) until it is destroyed or given
+  /// another federation; nullptr detaches.
+  void SetFederation(bank::federation::FederationRouter* federation);
   /// Attach a scenario load source (non-owning; nullptr detaches). Its
   /// transfer ops join the federation merge; replay ops are presented to
   /// the registry after the merge, in shard order.
@@ -200,12 +177,13 @@ class ParallelRunner {
   void RunShard(Shard& shard, sim::SimTime now);
   void PrepareShard(Shard& shard);
   /// Apply every shard's buffered federation transfers, grouped by
-  /// debtor bank shard; groups run on `pool` when non-null.
-  void MergeFederationOps(ThreadPool* pool, sim::SimTime now,
-                          ParallelRunReport& report);
+  /// debtor bank shard; groups run on the pool unless serial.
+  void MergeFederationOps(sim::SimTime now, ParallelRunReport& report);
 
   sim::Kernel& kernel_;
   const ParallelRunnerConfig config_;
+  /// Null when serial: every phase then runs inline in shard order.
+  std::unique_ptr<gm::ThreadPool> pool_;
   std::vector<Shard> shards_;
   bank::federation::FederationRouter* federation_ = nullptr;  // non-owning
   ShardLoadSource* load_source_ = nullptr;                    // non-owning

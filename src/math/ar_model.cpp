@@ -1,6 +1,8 @@
 #include "math/ar_model.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "math/autocorr.hpp"
 #include "math/stats.hpp"
@@ -71,7 +73,12 @@ double ArModel::PredictNext(const std::vector<double>& history) const {
 std::vector<double> ArModel::Forecast(const std::vector<double>& history,
                                       int steps) const {
   GM_ASSERT(steps >= 0, "ArModel: negative forecast horizon");
-  std::vector<double> extended = history;
+  // PredictNext reads only the last `order` values, so that tail is all
+  // the history the recursion needs.
+  const auto tail = static_cast<std::ptrdiff_t>(
+      std::min(history.size(), coefficients_.size()));
+  std::vector<double> extended(history.end() - tail, history.end());
+  extended.reserve(extended.size() + static_cast<std::size_t>(steps));
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(steps));
   for (int s = 0; s < steps; ++s) {

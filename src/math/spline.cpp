@@ -81,62 +81,86 @@ double CubicSpline::Derivative(double t) const {
          (3.0 * b * b - 1.0) * h * m_[i + 1] / 6.0;
 }
 
+namespace {
+
+// The Reinsch core: solves (R + lambda Q^T Q) c = Q^T y and returns the
+// fitted values g = y - lambda Q c. `spacing(i)` is h_i = x_{i+1} - x_i;
+// the Q entries are recomputed from it where needed instead of stored,
+// and the band is factored in place, so the working set is the band, c
+// and g. Requires n >= 3 and lambda > 0.
+template <typename Spacing>
+Result<std::vector<double>> ReinschFittedValues(const std::vector<double>& y,
+                                                double lambda,
+                                                Spacing spacing) {
+  const std::size_t n = y.size();
+  // Column j of Q (j = 0..n-3, for interior knot j+1) has entries
+  //   Q(j, j)   = 1/h_j
+  //   Q(j+1, j) = -1/h_j - 1/h_{j+1}
+  //   Q(j+2, j) = 1/h_{j+1}
+  struct QColumn {
+    double q0, q1, q2;
+  };
+  const auto q = [&spacing](std::size_t j) {
+    const double h0 = spacing(j);
+    const double h1 = spacing(j + 1);
+    return QColumn{1.0 / h0, -1.0 / h0 - 1.0 / h1, 1.0 / h1};
+  };
+
+  // A = R + lambda * Q^T Q, a pentadiagonal SPD matrix of size n-2.
+  const std::size_t k = n - 2;
+  BandedSpd a(k, 2);
+  for (std::size_t j = 0; j < k; ++j) {
+    const QColumn qj = q(j);
+    // R diagonal / superdiagonal.
+    a.at(j, 0) = (spacing(j) + spacing(j + 1)) / 3.0;
+    if (j + 1 < k) a.at(j, 1) = spacing(j + 1) / 6.0;
+    // lambda * (Q^T Q): columns j and j+d overlap in rows.
+    a.at(j, 0) += lambda * (qj.q0 * qj.q0 + qj.q1 * qj.q1 + qj.q2 * qj.q2);
+    if (j + 1 < k) {
+      const QColumn qn = q(j + 1);
+      a.at(j, 1) += lambda * (qj.q1 * qn.q0 + qj.q2 * qn.q1);
+    }
+    if (j + 2 < k) a.at(j, 2) = lambda * qj.q2 * q(j + 2).q0;
+  }
+  GM_RETURN_IF_ERROR(a.FactorInPlace());
+
+  // c solves A c = Q^T y.
+  std::vector<double> c(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    const QColumn qj = q(j);
+    c[j] = qj.q0 * y[j] + qj.q1 * y[j + 1] + qj.q2 * y[j + 2];
+  }
+  a.SolveFactoredInPlace(c);
+
+  // Fitted values g = y - lambda * Q c.
+  std::vector<double> g = y;
+  for (std::size_t j = 0; j < k; ++j) {
+    const QColumn qj = q(j);
+    g[j] -= lambda * qj.q0 * c[j];
+    g[j + 1] -= lambda * qj.q1 * c[j];
+    g[j + 2] -= lambda * qj.q2 * c[j];
+  }
+  return g;
+}
+
+}  // namespace
+
 Result<SmoothingSpline> SmoothingSpline::Fit(const std::vector<double>& x,
                                              const std::vector<double>& y,
                                              double lambda) {
   GM_RETURN_IF_ERROR(CheckKnots(x, y, 3));
   if (lambda < 0.0)
     return Status::InvalidArgument("smoothing spline: negative lambda");
-  const std::size_t n = x.size();
 
   if (lambda == 0.0) {
     GM_ASSIGN_OR_RETURN(CubicSpline interpolant, CubicSpline::Interpolate(x, y));
     return SmoothingSpline(std::move(interpolant), 0.0);
   }
 
-  std::vector<double> h(n - 1);
-  for (std::size_t i = 0; i + 1 < n; ++i) h[i] = x[i + 1] - x[i];
-
-  // Build A = R + lambda * Q^T Q, a pentadiagonal SPD matrix of size n-2.
-  // Column j of Q (j = 0..n-3, for interior knot j+1) has entries
-  //   Q(j, j)   = 1/h_j
-  //   Q(j+1, j) = -1/h_j - 1/h_{j+1}
-  //   Q(j+2, j) = 1/h_{j+1}
-  const std::size_t k = n - 2;
-  std::vector<double> q0(k), q1(k), q2(k);  // the three nonzeros per column
-  for (std::size_t j = 0; j < k; ++j) {
-    q0[j] = 1.0 / h[j];
-    q1[j] = -1.0 / h[j] - 1.0 / h[j + 1];
-    q2[j] = 1.0 / h[j + 1];
-  }
-
-  BandedSpd a(k, 2);
-  for (std::size_t j = 0; j < k; ++j) {
-    // R diagonal / superdiagonal.
-    a.at(j, 0) = (h[j] + h[j + 1]) / 3.0;
-    if (j + 1 < k) a.at(j, 1) = h[j + 1] / 6.0;
-    // lambda * (Q^T Q): columns j and j+d overlap in rows.
-    a.at(j, 0) += lambda * (q0[j] * q0[j] + q1[j] * q1[j] + q2[j] * q2[j]);
-    if (j + 1 < k)
-      a.at(j, 1) += lambda * (q1[j] * q0[j + 1] + q2[j] * q1[j + 1]);
-    if (j + 2 < k) a.at(j, 2) = lambda * q2[j] * q0[j + 2];
-  }
-
-  // rhs = Q^T y.
-  std::vector<double> rhs(k);
-  for (std::size_t j = 0; j < k; ++j)
-    rhs[j] = q0[j] * y[j] + q1[j] * y[j + 1] + q2[j] * y[j + 2];
-
-  GM_ASSIGN_OR_RETURN(std::vector<double> c, a.Solve(rhs));
-
-  // Fitted values g = y - lambda * Q c.
-  std::vector<double> g = y;
-  for (std::size_t j = 0; j < k; ++j) {
-    g[j] -= lambda * q0[j] * c[j];
-    g[j + 1] -= lambda * q1[j] * c[j];
-    g[j + 2] -= lambda * q2[j] * c[j];
-  }
-
+  GM_ASSIGN_OR_RETURN(
+      std::vector<double> g,
+      ReinschFittedValues(y, lambda,
+                          [&x](std::size_t i) { return x[i + 1] - x[i]; }));
   // The optimal smoother is the natural cubic spline through the fitted
   // values g, so interpolating g recovers it (including second derivatives).
   GM_ASSIGN_OR_RETURN(CubicSpline fitted_spline,
@@ -146,10 +170,14 @@ Result<SmoothingSpline> SmoothingSpline::Fit(const std::vector<double>& x,
 
 Result<std::vector<double>> SmoothingSpline::SmoothSeries(
     const std::vector<double>& y, double lambda) {
-  std::vector<double> x(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) x[i] = static_cast<double>(i);
-  GM_ASSIGN_OR_RETURN(SmoothingSpline fit, Fit(x, y, lambda));
-  return fit.fitted();
+  if (y.size() < 3) return Status::InvalidArgument("spline: too few knots");
+  if (lambda < 0.0)
+    return Status::InvalidArgument("smoothing spline: negative lambda");
+  // The fitted values of Fit(0..n-1, y, lambda), without building the
+  // spline: lambda = 0 interpolates y itself, and unit knots make every
+  // spacing exactly 1.0 (the same double as (i + 1) - i).
+  if (lambda == 0.0) return y;
+  return ReinschFittedValues(y, lambda, [](std::size_t) { return 1.0; });
 }
 
 }  // namespace gm::math

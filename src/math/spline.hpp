@@ -61,7 +61,8 @@ class SmoothingSpline {
   const CubicSpline& spline() const { return spline_; }
   double lambda() const { return lambda_; }
 
-  /// Convenience: smooth a uniformly spaced series in place (x = 0..n-1).
+  /// Smooth a uniformly spaced series (x = 0..n-1): bit-identical to
+  /// Fit(x, y, lambda).fitted(), without building the spline.
   static Result<std::vector<double>> SmoothSeries(
       const std::vector<double>& y, double lambda);
 

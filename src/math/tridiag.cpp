@@ -53,13 +53,19 @@ double BandedSpd::at(std::size_t i, std::size_t k) const {
 Result<std::vector<double>> BandedSpd::Solve(
     const std::vector<double>& rhs) const {
   GM_ASSERT(rhs.size() == n_, "BandedSpd::Solve size mismatch");
-  // Banded Cholesky: L(i, j) stored as l[k][j] = L(j+k, j), k = i-j.
-  std::vector<std::vector<double>> l(bandwidth_ + 1);
-  for (std::size_t k = 0; k <= bandwidth_; ++k)
-    l[k].assign(n_ > k ? n_ - k : 0, 0.0);
+  BandedSpd factor = *this;
+  GM_RETURN_IF_ERROR(factor.FactorInPlace());
+  std::vector<double> x = rhs;
+  factor.SolveFactoredInPlace(x);
+  return x;
+}
 
+Status BandedSpd::FactorInPlace() {
+  // Column j reads A(j, j..j+bandwidth) before overwriting it, and the
+  // factor's columns p < j, which are already final.
+  std::vector<std::vector<double>>& l = band_;
   for (std::size_t j = 0; j < n_; ++j) {
-    double diag = at(j, 0);
+    double diag = l[0][j];
     const std::size_t lo = j > bandwidth_ ? j - bandwidth_ : 0;
     for (std::size_t p = lo; p < j; ++p) {
       const double ljp = l[j - p][p];
@@ -71,30 +77,32 @@ Result<std::vector<double>> BandedSpd::Solve(
     l[0][j] = ljj;
     for (std::size_t k = 1; k <= bandwidth_ && j + k < n_; ++k) {
       const std::size_t i = j + k;
-      double sum = at(j, k);  // A(j, j+k) == A(i, j)
+      double sum = l[k][j];  // A(j, j+k) == A(i, j)
       const std::size_t plo = i > bandwidth_ ? i - bandwidth_ : 0;
       for (std::size_t p = plo; p < j; ++p) sum -= l[i - p][p] * l[j - p][p];
       l[k][j] = sum / ljj;
     }
   }
+  return Status::Ok();
+}
 
-  // Forward substitution L y = rhs.
-  std::vector<double> y(n_);
+void BandedSpd::SolveFactoredInPlace(std::vector<double>& b) const {
+  GM_ASSERT(b.size() == n_, "BandedSpd::SolveFactoredInPlace size mismatch");
+  const std::vector<std::vector<double>>& l = band_;
+  // Forward substitution L y = b.
   for (std::size_t i = 0; i < n_; ++i) {
-    double sum = rhs[i];
+    double sum = b[i];
     const std::size_t lo = i > bandwidth_ ? i - bandwidth_ : 0;
-    for (std::size_t j = lo; j < i; ++j) sum -= l[i - j][j] * y[j];
-    y[i] = sum / l[0][i];
+    for (std::size_t j = lo; j < i; ++j) sum -= l[i - j][j] * b[j];
+    b[i] = sum / l[0][i];
   }
   // Back substitution L^T x = y.
-  std::vector<double> x(n_);
   for (std::size_t ii = n_; ii-- > 0;) {
-    double sum = y[ii];
+    double sum = b[ii];
     for (std::size_t k = 1; k <= bandwidth_ && ii + k < n_; ++k)
-      sum -= l[k][ii] * x[ii + k];
-    x[ii] = sum / l[0][ii];
+      sum -= l[k][ii] * b[ii + k];
+    b[ii] = sum / l[0][ii];
   }
-  return x;
 }
 
 std::vector<double> BandedSpd::Multiply(const std::vector<double>& x) const {

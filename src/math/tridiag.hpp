@@ -33,8 +33,16 @@ class BandedSpd {
   double& at(std::size_t i, std::size_t k);
   double at(std::size_t i, std::size_t k) const;
 
-  /// Banded Cholesky solve (A = L L^T). Fails if not positive definite.
+  /// Banded Cholesky solve (A = L L^T) on a copy of the matrix. Fails if
+  /// not positive definite.
   Result<std::vector<double>> Solve(const std::vector<double>& rhs) const;
+
+  /// Overwrite the band with its Cholesky factor L, stored the same way:
+  /// band[k][j] = L(j+k, j). Fails if not positive definite (the band is
+  /// then partly overwritten).
+  Status FactorInPlace();
+  /// Solve L L^T x = b in place; requires FactorInPlace() first.
+  void SolveFactoredInPlace(std::vector<double>& b) const;
 
   /// y = A*x using symmetry.
   std::vector<double> Multiply(const std::vector<double>& x) const;

@@ -13,11 +13,13 @@ Result<ArPriceForecaster> ArPriceForecaster::Fit(
     return Status::InvalidArgument("AR order must be >= 1");
   if (config.spline_lambda < 0.0)
     return Status::InvalidArgument("spline lambda must be >= 0");
-  std::vector<double> smoothed = series;
+  std::vector<double> smoothed;
   if (config.spline_lambda > 0.0 && series.size() >= 3) {
     GM_ASSIGN_OR_RETURN(
         smoothed,
         math::SmoothingSpline::SmoothSeries(series, config.spline_lambda));
+  } else {
+    smoothed = series;
   }
   GM_ASSIGN_OR_RETURN(math::ArModel model,
                       math::ArModel::Fit(smoothed, config.order));
@@ -28,13 +30,12 @@ std::vector<double> ArPriceForecaster::Forecast(
     const std::vector<double>& recent, int steps) const {
   GM_ASSERT(recent.size() >= static_cast<std::size_t>(model_.order()),
             "forecast needs at least `order` recent samples");
-  std::vector<double> history = recent;
-  if (config_.spline_lambda > 0.0 && history.size() >= 3) {
-    auto smoothed =
-        math::SmoothingSpline::SmoothSeries(history, config_.spline_lambda);
-    if (smoothed.ok()) history = std::move(*smoothed);
+  if (config_.spline_lambda > 0.0 && recent.size() >= 3) {
+    const auto smoothed =
+        math::SmoothingSpline::SmoothSeries(recent, config_.spline_lambda);
+    if (smoothed.ok()) return model_.Forecast(*smoothed, steps);
   }
-  return model_.Forecast(history, steps);
+  return model_.Forecast(recent, steps);
 }
 
 double ArPriceForecaster::ForecastAt(const std::vector<double>& recent,

@@ -127,6 +127,62 @@ TEST(ConcurrencyTest, ManyThreadsContendOnOneMutex) {
   EXPECT_EQ(counter, kThreads * kIters);
 }
 
+TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 100; ++i)
+    pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+  pool.WaitIdle();
+  EXPECT_EQ(ran.load(), 100);
+  // The pool is reusable after a barrier.
+  for (int i = 0; i < 50; ++i)
+    pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+  pool.WaitIdle();
+  EXPECT_EQ(ran.load(), 150);
+}
+
+TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturns) {
+  ThreadPool pool(2);
+  pool.WaitIdle();
+  SUCCEED();
+}
+
+TEST(ThreadPoolTest, SubmitAndWaitUnderAComponentLock) {
+  // The pool's rank is a leaf: a caller holding a component lock (here
+  // the reconciler's, as during a federation sweep) may fan work out. The
+  // tasks start holding nothing, so they may even take a lock that ranks
+  // below the caller's.
+  ThreadPool pool(3);
+  Mutex outer("test.reconciler", lockrank::kBankReconciler);
+  Mutex inner("test.bus", lockrank::kBus);
+  std::atomic<int> ran{0};
+  {
+    MutexLock hold(&outer);
+    ParallelFor(&pool, 8, [&](std::size_t) {
+      MutexLock lock(&inner);
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ThreadPoolTest, ParallelForWithoutPoolRunsInIndexOrder) {
+  std::vector<std::size_t> order;
+  ParallelFor(nullptr, 5, [&order](std::size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPoolDeathTest, WaitIdleFromOwnWorkerAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.Submit([&pool] { pool.WaitIdle(); });
+        pool.WaitIdle();
+      },
+      "WaitIdle called from one of its own workers");
+}
+
 TEST(LockRankTableTest, AscendingAndMatchingConstants) {
   std::size_t size = 0;
   const LockRankEntry* table = LockRankTable(&size);
@@ -137,8 +193,8 @@ TEST(LockRankTableTest, AscendingAndMatchingConstants) {
         << table[i - 1].name << " vs " << table[i].name;
   }
   // Endpoints pin the table to the lockrank constants.
-  EXPECT_STREQ(table[0].name, "kThreadPool");
-  EXPECT_EQ(table[0].rank, lockrank::kThreadPool);
+  EXPECT_STREQ(table[0].name, "kRpcClient");
+  EXPECT_EQ(table[0].rank, lockrank::kRpcClient);
   EXPECT_STREQ(table[size - 1].name, "kLogger");
   EXPECT_EQ(table[size - 1].rank, lockrank::kLogger);
 }

@@ -15,32 +15,13 @@
 #include "bank/federation/shard.hpp"
 #include "crypto/prime.hpp"
 #include "crypto/token.hpp"
+#include "net/serialize.hpp"
 #include "store/store.hpp"
 
 namespace gm::host {
 namespace {
 
 namespace fs = std::filesystem;
-
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 100; ++i)
-    pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 100);
-  // The pool is reusable after a barrier.
-  for (int i = 0; i < 50; ++i)
-    pool.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 150);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.WaitIdle();
-  SUCCEED();
-}
 
 /// A self-contained grid of `shards` hosts, each with its own auctioneer,
 /// all charging one bank federation once AddFederation attaches it.
@@ -98,6 +79,10 @@ struct World {
     }
     runner->SetFederation(federation.get());
   }
+
+  // The runner takes its pool back from the federation on destruction,
+  // so it goes first.
+  ~World() { runner.reset(); }
 
   sim::Kernel kernel;
   std::vector<std::unique_ptr<PhysicalHost>> hosts;
@@ -333,6 +318,173 @@ TEST(ParallelRunnerFederationChaosTest, ShardCrashMidEscrowSettlesOnce) {
   EXPECT_TRUE(reconciler.VerifyReport(sweep).ok());
 
   fs::remove_all(dir);
+}
+
+// The federation audits with the runner's pool lent must equal the
+// inline walk: the same hash, the same Status code and message.
+struct Audit {
+  std::string hash;
+  Status conservation;
+};
+
+Audit RunAudit(const bank::federation::FederationRouter& federation) {
+  return {federation.LedgerHash(), federation.CheckConservation()};
+}
+
+/// Audits `world` with its runner's pool lent, then inline (the runner
+/// takes the pool back for that), expects both to agree, re-lends the
+/// pool and returns the audit.
+Audit ExpectPooledAuditMatchesInline(World& world) {
+  EXPECT_NE(world.federation->audit_pool(), nullptr);
+  const Audit pooled = RunAudit(*world.federation);
+  world.runner->SetFederation(nullptr);
+  EXPECT_EQ(world.federation->audit_pool(), nullptr);
+  const Audit inline_walk = RunAudit(*world.federation);
+  world.runner->SetFederation(world.federation.get());
+  EXPECT_EQ(pooled.hash, inline_walk.hash);
+  EXPECT_EQ(pooled.conservation.code(), inline_walk.conservation.code());
+  EXPECT_EQ(pooled.conservation.message(), inline_walk.conservation.message());
+  return pooled;
+}
+
+/// A live account on bank shard `shard` with a positive balance.
+std::string FundedAccountOn(World& world, std::size_t shard) {
+  for (std::size_t i = 0; i < world.hosts.size(); ++i) {
+    for (const std::string& name : {"broker/fund-" + std::to_string(i),
+                                   "broker/host-" + std::to_string(i)}) {
+      if (bank::federation::StripeFor(name, world.fed_shards.size()) !=
+          shard)
+        continue;
+      const Result<Money> balance = world.federation->Balance(name);
+      if (balance.ok() && balance->is_positive()) return name;
+    }
+  }
+  return "";
+}
+
+/// Breaks `shard`'s local conservation invariant the way a duplicated
+/// journal entry would: a create record (kind 1 in the shard's journal
+/// layout) replayed over a live account resets its balance and mints
+/// again.
+void CorruptShard(World& world, std::size_t shard, Money balance) {
+  const std::string account = FundedAccountOn(world, shard);
+  ASSERT_FALSE(account.empty()) << "no funded account on shard " << shard;
+  net::Writer record;
+  record.WriteU8(1);
+  record.WriteString(account);
+  record.WriteI64(balance.micros());
+  ASSERT_TRUE(world.fed_shards[shard]->ApplyRecord(record.data()).ok());
+}
+
+TEST(FederationAuditTest, LentPoolAuditsHealthyShardsLikeTheInlineWalk) {
+  World serial(16, /*serial=*/true, /*threads=*/1);
+  serial.AddFederation(8);
+  ASSERT_TRUE(serial.runner->Run(3).ok());
+  // A serial runner has no pool to lend.
+  EXPECT_EQ(serial.federation->audit_pool(), nullptr);
+
+  World parallel(16, /*serial=*/false, /*threads=*/8);
+  parallel.AddFederation(8);
+  ASSERT_TRUE(parallel.runner->Run(3).ok());
+  const Audit audit = ExpectPooledAuditMatchesInline(parallel);
+  EXPECT_TRUE(audit.conservation.ok()) << audit.conservation.message();
+  EXPECT_EQ(audit.hash, serial.federation->LedgerHash());
+}
+
+TEST(FederationAuditTest, LentPoolAuditsACrashedShardLikeTheInlineWalk) {
+  World world(16, /*serial=*/false, /*threads=*/8);
+  world.AddFederation(8);
+  ASSERT_TRUE(world.runner->Run(3).ok());
+  const std::string healthy = world.federation->LedgerHash();
+  world.fed_shards[2]->SimulateCrash();
+  const Audit audit = ExpectPooledAuditMatchesInline(world);
+  EXPECT_NE(audit.hash, healthy);
+  EXPECT_EQ(audit.conservation.code(), StatusCode::kUnavailable);
+  EXPECT_NE(audit.conservation.message().find("shard 2 is down"),
+            std::string::npos)
+      << audit.conservation.message();
+}
+
+TEST(FederationAuditTest, LentPoolCountsCreditedButUnreleasedHolds) {
+  World world(16, /*serial=*/false, /*threads=*/8);
+  world.AddFederation(8);
+  ASSERT_TRUE(world.runner->Run(2).ok());
+  // Phases 1 and 2 of a cross-shard settlement, but no release: the hold
+  // still counts on the debtor while the creditor already has the money.
+  const std::string from = FundedAccountOn(world, 0);
+  ASSERT_FALSE(from.empty());
+  std::string to;
+  for (std::size_t i = 0; i < world.hosts.size() && to.empty(); ++i) {
+    const std::string name = "broker/host-" + std::to_string(i);
+    if (bank::federation::StripeFor(name, world.fed_shards.size()) != 0)
+      to = name;
+  }
+  ASSERT_FALSE(to.empty());
+  bank::federation::BankShard* debtor = world.federation->ShardFor(from);
+  bank::federation::BankShard* creditor = world.federation->ShardFor(to);
+  const Money amount = Money::FromMicros(7);
+  const Result<std::string> sid = debtor->PrepareDebit(from, to, amount, 0);
+  ASSERT_TRUE(sid.ok()) << sid.status().message();
+  ASSERT_TRUE(creditor->ApplyCredit(*sid, to, amount, 0).ok());
+  ASSERT_EQ(world.federation->PendingSettlements(), 1u);
+
+  const Audit audit = ExpectPooledAuditMatchesInline(world);
+  EXPECT_TRUE(audit.conservation.ok()) << audit.conservation.message();
+}
+
+TEST(FederationAuditTest, FirstFailingShardInIndexOrderDecides) {
+  World world(16, /*serial=*/false, /*threads=*/8);
+  world.AddFederation(8);
+  ASSERT_TRUE(world.runner->Run(2).ok());
+  CorruptShard(world, 3, Money::FromMicros(11));
+  CorruptShard(world, 5, Money::FromMicros(13));
+  // Shard 6 being down comes after shard 3's violation in index order.
+  world.fed_shards[6]->SimulateCrash();
+  Audit audit = ExpectPooledAuditMatchesInline(world);
+  EXPECT_EQ(audit.conservation.code(), StatusCode::kInternal);
+  EXPECT_NE(audit.conservation.message().find("shard 3 conservation"),
+            std::string::npos)
+      << audit.conservation.message();
+
+  // Shard 1 being down comes first.
+  world.fed_shards[1]->SimulateCrash();
+  audit = ExpectPooledAuditMatchesInline(world);
+  EXPECT_EQ(audit.conservation.code(), StatusCode::kUnavailable);
+  EXPECT_NE(audit.conservation.message().find("shard 1 is down"),
+            std::string::npos)
+      << audit.conservation.message();
+}
+
+TEST(FederationAuditTest, RunnerDestroyedFirstLeavesInlineAudits) {
+  World world(8, /*serial=*/false, /*threads=*/4);
+  world.AddFederation(4);
+  ASSERT_TRUE(world.runner->Run(2).ok());
+  const Audit pooled = RunAudit(*world.federation);
+  world.runner.reset();
+  EXPECT_EQ(world.federation->audit_pool(), nullptr);
+  const Audit after = RunAudit(*world.federation);
+  EXPECT_EQ(after.hash, pooled.hash);
+  EXPECT_TRUE(after.conservation.ok()) << after.conservation.message();
+}
+
+TEST(FederationAuditTest, RunnerTakesBackOnlyItsOwnPool) {
+  World world(8, /*serial=*/false, /*threads=*/4);
+  world.AddFederation(4);
+  ASSERT_TRUE(world.runner->Run(2).ok());
+  const std::string hash = world.federation->LedgerHash();
+
+  // A second runner lends its pool to the same federation; destroying
+  // the first must leave the second's loan in place.
+  sim::Kernel kernel;
+  ParallelRunnerConfig config;
+  config.threads = 2;
+  ParallelRunner other(kernel, config);
+  other.SetFederation(world.federation.get());
+  gm::ThreadPool* lent = world.federation->audit_pool();
+  ASSERT_NE(lent, nullptr);
+  world.runner.reset();
+  EXPECT_EQ(world.federation->audit_pool(), lent);
+  EXPECT_EQ(world.federation->LedgerHash(), hash);
 }
 
 }  // namespace

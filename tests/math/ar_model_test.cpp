@@ -107,6 +107,21 @@ TEST(ArModelTest, ForecastConvergesToMean) {
   }
 }
 
+TEST(ArModelTest, ForecastEqualsIteratedPredictNextOverFullHistory) {
+  // Forecast keeps only the last `order` values; iterating PredictNext
+  // over the whole, growing history must give the same doubles.
+  const auto series = SimulateAr({0.5, -0.3, 0.2}, 1.0, 0.3, 2000, 17);
+  const auto model = ArModel::Fit(series, 3);
+  ASSERT_TRUE(model.ok());
+  std::vector<double> extended = series;
+  std::vector<double> expected;
+  for (int s = 0; s < 25; ++s) {
+    expected.push_back(model->PredictNext(extended));
+    extended.push_back(expected.back());
+  }
+  EXPECT_EQ(model->Forecast(series, 25), expected);
+}
+
 TEST(ArModelTest, ForecastZeroStepsIsEmpty) {
   const auto series = SimulateAr({0.5}, 0.0, 0.1, 1000, 1);
   const auto model = ArModel::Fit(series, 1);

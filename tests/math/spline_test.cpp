@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "math/stats.hpp"
@@ -178,6 +179,42 @@ TEST(SmoothingSplineTest, SmoothSeriesConvenience) {
   // Alternating series smooths toward 0.5.
   for (std::size_t i = 5; i + 5 < smoothed->size(); ++i)
     EXPECT_NEAR((*smoothed)[i], 0.5, 0.1);
+}
+
+TEST(SmoothingSplineTest, SmoothSeriesIsBitIdenticalToFit) {
+  // SmoothSeries skips the spline; its values must still be exactly the
+  // general fit's at unit knots, for any length, shape and lambda.
+  Rng rng(20060619);
+  const double lambdas[] = {0.0, 1e-3, 0.5, 3.0, 50.0, 1e4};
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t n = 3 + static_cast<std::size_t>(rng.UniformInt(0, 400));
+    std::vector<double> y(n);
+    double level = rng.Uniform(0.0, 10.0);
+    for (double& v : y) {
+      level += rng.Uniform(-1.0, 1.0);
+      v = level + (rng.Bernoulli(0.1) ? rng.Uniform(-20.0, 0.0) : 0.0);
+    }
+    std::vector<double> x(n);
+    for (std::size_t i = 0; i < n; ++i) x[i] = static_cast<double>(i);
+    const double lambda = lambdas[trial % 6];
+    const auto smoothed = SmoothingSpline::SmoothSeries(y, lambda);
+    const auto fit = SmoothingSpline::Fit(x, y, lambda);
+    ASSERT_TRUE(smoothed.ok());
+    ASSERT_TRUE(fit.ok());
+    ASSERT_EQ(smoothed->size(), fit->fitted().size());
+    EXPECT_EQ(std::memcmp(smoothed->data(), fit->fitted().data(),
+                          n * sizeof(double)),
+              0)
+        << "trial " << trial << ", n " << n << ", lambda " << lambda;
+  }
+}
+
+TEST(SmoothingSplineTest, SmoothSeriesRejectsWhatFitRejects) {
+  EXPECT_EQ(SmoothingSpline::SmoothSeries({1.0, 2.0}, 1.0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      SmoothingSpline::SmoothSeries({1.0, 2.0, 3.0}, -1.0).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 }  // namespace

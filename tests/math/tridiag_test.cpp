@@ -118,12 +118,32 @@ TEST(BandedSpdTest, SolveVerifiedByMultiply) {
   for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(back[i], rhs[i], 1e-11);
 }
 
+TEST(BandedSpdTest, FactorInPlaceThenSolveInPlace) {
+  BandedSpd a(5, 2);
+  for (std::size_t i = 0; i < 5; ++i) a.at(i, 0) = 6.0;
+  for (std::size_t i = 0; i < 4; ++i) a.at(i, 1) = -1.0;
+  for (std::size_t i = 0; i < 3; ++i) a.at(i, 2) = 0.5;
+  const BandedSpd original = a;
+  const std::vector<double> rhs{1.0, 2.0, 3.0, 4.0, 5.0};
+  const auto copied = a.Solve(rhs);
+  ASSERT_TRUE(copied.ok());
+  // Solve leaves the matrix as it was.
+  EXPECT_EQ(a.Multiply(rhs), original.Multiply(rhs));
+  ASSERT_TRUE(a.FactorInPlace().ok());
+  std::vector<double> x = rhs;
+  a.SolveFactoredInPlace(x);
+  EXPECT_EQ(x, *copied);
+  const std::vector<double> back = original.Multiply(x);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(back[i], rhs[i], 1e-11);
+}
+
 TEST(BandedSpdTest, NotSpdFails) {
   BandedSpd a(2, 1);
   a.at(0, 0) = 1.0;
   a.at(1, 0) = 1.0;
   a.at(0, 1) = 2.0;  // off-diagonal dominates -> indefinite
   EXPECT_FALSE(a.Solve({1.0, 1.0}).ok());
+  EXPECT_FALSE(a.FactorInPlace().ok());
 }
 
 }  // namespace
