@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full CI gate: determinism/money lint, clang-tidy (when available), tier-1
 # build + tests (warnings as errors), the telemetry smoke stage (chaos
-# example must emit a parseable JSONL with a complete job span chain), the
-# auction-tick microbenchmark, the benchmark build, logic tests and output
-# checks, then the sanitizer job.
+# example must emit a parseable JSONL with a complete job span chain), a
+# run of every other example, the auction-tick microbenchmark, the
+# benchmark build, logic tests and output checks, then the sanitizer job.
 # Usage: scripts/ci.sh [ctest args...]
 set -euo pipefail
 
@@ -148,6 +148,22 @@ for span in submit fund-verify bid stage-in execute stage-out refund; do
   fi
 done
 echo "telemetry smoke: JSONL parses, submit->refund chain complete"
+end_stage
+
+begin_stage "examples smoke" 60
+# The other examples document the public API. Each checks its own result
+# and exits non-zero on failure, so an API change that breaks one fails
+# here instead of going unnoticed.
+for example in quickstart bioinformatics_grid price_advisor token_security \
+    grid_accounting flash_crowd; do
+  if ! (cd "$SMOKE_DIR" && "$OLDPWD/$BUILD_DIR/examples/$example" \
+        > "$example.log" 2>&1); then
+    cat "$SMOKE_DIR/$example.log"
+    echo "examples smoke: $example exited non-zero"
+    exit 1
+  fi
+  echo "examples smoke: $example ok"
+done
 end_stage
 
 begin_stage "micro: auction tick" 60

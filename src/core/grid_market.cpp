@@ -170,10 +170,12 @@ GridMarket::GridMarket(Config config)
       GM_ASSERT(federation_->CreateAccount("host:" + spec.id).ok(),
                 "federation host account creation failed");
     }
-    services_.push_back(std::make_unique<market::AuctioneerService>(
-        *auctioneers_.back(), *bus_));
+    ping_servers_.push_back(
+        std::make_unique<net::RpcServer>(*bus_, grid::ProbeEndpoint(spec.id)));
+    ping_servers_.back()->RegisterMethod(
+        "ping", [](const Bytes&) -> Result<Bytes> { return Bytes{}; });
     if (telemetry_ != nullptr)
-      services_.back()->AttachTelemetry(telemetry_.get());
+      ping_servers_.back()->AttachTelemetry(telemetry_.get());
     GM_ASSERT(plugin_
                   ->RegisterAuctioneer(*auctioneers_.back(),
                                        "auctioneer:" + spec.id)
@@ -330,14 +332,14 @@ Status GridMarket::CrashHost(std::size_t index) {
   if (config_.storage.durable) auctioneers_[index]->CrashStorageState();
   const std::string host_id = auctioneers_[index]->physical_host().id();
   InstantOnActiveTraces("host-crash", "host=" + host_id);
-  return bus_->CrashEndpoint("auctioneer/" + host_id);
+  return bus_->CrashEndpoint(grid::ProbeEndpoint(host_id));
 }
 
 Status GridMarket::RestartHost(std::size_t index) {
   if (index >= auctioneers_.size())
     return Status::InvalidArgument("host index out of range");
   GM_RETURN_IF_ERROR(bus_->RestartEndpoint(
-      "auctioneer/" + auctioneers_[index]->physical_host().id()));
+      grid::ProbeEndpoint(auctioneers_[index]->physical_host().id())));
   if (config_.storage.durable) {
     GM_RETURN_IF_ERROR(auctioneers_[index]->RecoverHistory().status());
   }

@@ -27,9 +27,9 @@
 #include "crypto/token.hpp"
 #include "grid/broker.hpp"
 #include "grid/monitor.hpp"
-#include "market/auctioneer_service.hpp"
 #include "market/sls.hpp"
 #include "net/bus.hpp"
+#include "net/rpc.hpp"
 #include "predict/normal_model.hpp"
 #include "sim/kernel.hpp"
 #include "store/store.hpp"
@@ -169,9 +169,9 @@ class GridMarket {
       const std::string& window) const;
 
   // -- network and fault tolerance --
-  /// The simulated bus carrying every auctioneer's RPC service
-  /// ("auctioneer/<host id>"). Inject faults with PartitionLink /
-  /// AddLossWindow / net::ApplyFaultPlan.
+  /// The simulated bus carrying the failure detector's pings to each
+  /// host's endpoint (grid::ProbeEndpoint). Inject faults with
+  /// PartitionLink / AddLossWindow / net::ApplyFaultPlan.
   net::MessageBus& bus() { return *bus_; }
   /// Start the scheduler's failure detector: periodic RPC pings per
   /// host, suspect/dead thresholds, job migration off dead hosts.
@@ -273,12 +273,13 @@ class GridMarket {
   std::unique_ptr<bank::federation::Reconciler> reconciler_;
   std::unique_ptr<crypto::CertificateAuthority> ca_;
   std::unique_ptr<market::ServiceLocationService> sls_;
-  // Declared before everything that registers bus endpoints (services,
-  // the plugin's probe client) so it is destroyed after them.
+  // Declared before everything that registers bus endpoints (the ping
+  // servers, the plugin's probe client) so it is destroyed after them.
   std::unique_ptr<net::MessageBus> bus_;
   std::vector<std::unique_ptr<host::PhysicalHost>> hosts_;
   std::vector<std::unique_ptr<market::Auctioneer>> auctioneers_;
-  std::vector<std::unique_ptr<market::AuctioneerService>> services_;
+  // One per host at grid::ProbeEndpoint, answering only "ping".
+  std::vector<std::unique_ptr<net::RpcServer>> ping_servers_;
   std::vector<std::unique_ptr<market::SlsPublisher>> publishers_;
   std::unique_ptr<grid::TokenAuthorizer> authorizer_;
   std::unique_ptr<grid::TycoonSchedulerPlugin> plugin_;

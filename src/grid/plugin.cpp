@@ -68,7 +68,7 @@ Status TycoonSchedulerPlugin::EnableHealthProbes(net::MessageBus& bus,
   GM_ASSERT(options.probe_attempts >= 1 && options.suspect_after >= 1 &&
                 options.dead_after >= options.suspect_after,
             "inconsistent health options");
-  health_options_ = std::move(options);
+  health_options_ = options;
   probe_rpc_ = std::make_unique<net::RpcClient>(bus, "scheduler-agent/probe");
   if (telemetry_ != nullptr) probe_rpc_->AttachTelemetry(telemetry_);
   probe_timer_ = kernel_.ScheduleEvery(health_options_.probe_period,
@@ -85,8 +85,8 @@ void TycoonSchedulerPlugin::ProbeAll() {
   for (auto& [host_id, entry] : auctioneers_) {
     (void)entry;
     ++probes_sent_;
-    probe_rpc_->Call(health_options_.endpoint_prefix + host_id, "ping", {},
-                     call, [this, id = host_id](Result<Bytes> response) {
+    probe_rpc_->Call(ProbeEndpoint(host_id), "ping", {}, call,
+                     [this, id = host_id](Result<Bytes> response) {
                        OnProbeResult(id, response.status());
                      });
   }

@@ -61,10 +61,13 @@ struct HealthOptions {
   /// Consecutive failed rounds before a host turns suspect / dead.
   int suspect_after = 2;
   int dead_after = 3;
-  /// Endpoint prefix; a host's auctioneer service is expected at
-  /// "<prefix><host_id>" (the AuctioneerService default naming).
-  std::string endpoint_prefix = "auctioneer/";
 };
+
+/// The bus endpoint at which the failure detector pings a host: whoever
+/// runs the host's market answers "ping" there.
+inline std::string ProbeEndpoint(const std::string& host_id) {
+  return "auctioneer/" + host_id;
+}
 
 struct PluginConfig {
   /// cpuTime is defined against this reference CPU (cycles/s).

@@ -248,86 +248,4 @@ Result<HostRecord> ReadHostRecord(net::Reader& reader) {
   return record;
 }
 
-SlsService::SlsService(ServiceLocationService& sls, net::MessageBus& bus,
-                       std::string endpoint)
-    : sls_(sls), server_(bus, std::move(endpoint)) {
-  server_.RegisterMethod(
-      "publish", [this](const Bytes& request) -> Result<Bytes> {
-        net::Reader reader(request);
-        GM_ASSIGN_OR_RETURN(HostRecord record, ReadHostRecord(reader));
-        sls_.Publish(std::move(record));
-        return Bytes{};
-      });
-  server_.RegisterMethod(
-      "query", [this](const Bytes& request) -> Result<Bytes> {
-        net::Reader reader(request);
-        HostQuery query;
-        GM_ASSIGN_OR_RETURN(query.min_cycles_per_cpu, reader.ReadDouble());
-        GM_ASSIGN_OR_RETURN(const bool has_max_price, reader.ReadBool());
-        if (has_max_price) {
-          GM_ASSIGN_OR_RETURN(const double max_price, reader.ReadDouble());
-          query.max_price_per_capacity = max_price;
-        }
-        GM_ASSIGN_OR_RETURN(query.require_vm_slot, reader.ReadBool());
-        GM_ASSIGN_OR_RETURN(const std::uint64_t limit, reader.ReadVarint());
-        query.limit = limit;
-        const std::vector<HostRecord> records = sls_.Query(query);
-        net::Writer writer;
-        writer.WriteVarint(records.size());
-        for (const HostRecord& record : records)
-          WriteHostRecord(writer, record);
-        return writer.Take();
-      });
-}
-
-SlsClient::SlsClient(net::MessageBus& bus, std::string client_endpoint,
-                     std::string sls_endpoint, net::CallOptions options)
-    : client_(bus, std::move(client_endpoint)),
-      sls_endpoint_(std::move(sls_endpoint)),
-      options_(options) {}
-
-void SlsClient::Query(const HostQuery& query, QueryCallback callback) {
-  net::Writer writer;
-  writer.WriteDouble(query.min_cycles_per_cpu);
-  writer.WriteBool(query.max_price_per_capacity.has_value());
-  if (query.max_price_per_capacity.has_value())
-    writer.WriteDouble(*query.max_price_per_capacity);
-  writer.WriteBool(query.require_vm_slot);
-  writer.WriteVarint(query.limit);
-  client_.Call(sls_endpoint_, "query", writer.Take(), options_,
-               [callback = std::move(callback)](Result<Bytes> response) {
-                 if (!response.ok()) {
-                   callback(response.status());
-                   return;
-                 }
-                 net::Reader reader(*response);
-                 const auto count = reader.ReadVarint();
-                 if (!count.ok()) {
-                   callback(count.status());
-                   return;
-                 }
-                 std::vector<HostRecord> records;
-                 records.reserve(*count);
-                 for (std::uint64_t i = 0; i < *count; ++i) {
-                   auto record = ReadHostRecord(reader);
-                   if (!record.ok()) {
-                     callback(record.status());
-                     return;
-                   }
-                   records.push_back(std::move(*record));
-                 }
-                 callback(std::move(records));
-               });
-}
-
-void SlsClient::Publish(const HostRecord& record,
-                        std::function<void(Status)> callback) {
-  net::Writer writer;
-  WriteHostRecord(writer, record);
-  client_.Call(sls_endpoint_, "publish", writer.Take(), options_,
-               [callback = std::move(callback)](Result<Bytes> response) {
-                 callback(response.status());
-               });
-}
-
 }  // namespace gm::market

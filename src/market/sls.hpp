@@ -3,11 +3,10 @@
 // Auctioneers publish host records (capacity, load, spot price and
 // advertised price statistics) on a heartbeat; agents query for candidate
 // hosts. Records expire if a host stops heartbeating — the failure mode a
-// decentralized market must tolerate. An RPC facade exposes the directory
-// over the simulated network.
+// decentralized market must tolerate. The scheduler plugin is co-located
+// with the broker and queries the directory in process (paper §3.1).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -16,7 +15,7 @@
 #include "common/concurrency.hpp"
 #include "common/status.hpp"
 #include "market/auctioneer.hpp"
-#include "net/rpc.hpp"
+#include "net/serialize.hpp"
 #include "sim/kernel.hpp"
 #include "store/store.hpp"
 
@@ -123,33 +122,8 @@ class SlsPublisher {
   sim::EventHandle timer_;
 };
 
-/// Wire helpers + RPC facade ("sls" endpoint): methods "publish", "query".
+/// Wire format of a host record, shared by the SLS journal and snapshots.
 void WriteHostRecord(net::Writer& writer, const HostRecord& record);
 Result<HostRecord> ReadHostRecord(net::Reader& reader);
-
-class SlsService {
- public:
-  SlsService(ServiceLocationService& sls, net::MessageBus& bus,
-             std::string endpoint = "sls");
-
- private:
-  ServiceLocationService& sls_;
-  net::RpcServer server_;
-};
-
-class SlsClient {
- public:
-  SlsClient(net::MessageBus& bus, std::string client_endpoint,
-            std::string sls_endpoint = "sls", net::CallOptions options = {});
-
-  using QueryCallback = std::function<void(Result<std::vector<HostRecord>>)>;
-  void Query(const HostQuery& query, QueryCallback callback);
-  void Publish(const HostRecord& record, std::function<void(Status)> callback);
-
- private:
-  net::RpcClient client_;
-  std::string sls_endpoint_;
-  net::CallOptions options_;
-};
 
 }  // namespace gm::market

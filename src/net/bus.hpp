@@ -37,7 +37,6 @@ struct LatencyModel {
   double drop_probability = 0.0;                 // silent loss
 
   static LatencyModel Lan() { return {200 * sim::kMicrosecond, 100 * sim::kMicrosecond, 0.0}; }
-  static LatencyModel Wan() { return {40 * sim::kMillisecond, 10 * sim::kMillisecond, 0.0}; }
   static LatencyModel Lossy(double p) { return {sim::kMillisecond, sim::kMillisecond, p}; }
 };
 

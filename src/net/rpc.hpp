@@ -1,7 +1,8 @@
 // Request/response RPC over the message bus.
 //
-// The Grid services (Bank, Service Location Service, Auctioneers, the
-// scheduler agent) talk through this layer. Calls carry a correlation id
+// The scheduler agent's failure detector pings every host through this
+// layer; the market services themselves are linked in process, because
+// the scheduler plugin sits next to the broker. Calls carry a correlation id
 // and a per-attempt sequence number; the client matches responses,
 // enforces timeouts with simulation timers, and retries with exponential
 // backoff and deterministic jitter. The transport is therefore
@@ -9,8 +10,7 @@
 // response was lost. To make effects exactly-once, the server keeps a
 // bounded per-client dedup cache keyed by (source, correlation_id) and
 // replays the cached response instead of re-executing the method — so
-// non-idempotent operations (bank transfers, bid placement) survive
-// retries without double-applying.
+// a non-idempotent method survives retries without double-applying.
 #pragma once
 
 #include <atomic>
@@ -39,9 +39,10 @@ struct RpcServerOptions {
 ///
 /// Thread-safe: one mutex (rank kRpcServer, below the bus) guards the
 /// method table and the dedup cache. The lock is held across method
-/// dispatch — a request is an atomic server transaction — which is safe
-/// because methods only call into higher-ranked components (bank,
-/// market, store) and the reply re-enters the bus above this rank.
+/// dispatch — a request is an atomic server transaction. The only method
+/// the grid registers, the failure detector's "ping", touches no other
+/// component; a method that did would have to call only above this rank,
+/// as the reply does when it re-enters the bus.
 class RpcServer {
  public:
   /// A method consumes request bytes and produces response bytes or an error.

@@ -6,11 +6,6 @@ namespace gm::net {
 
 void Writer::WriteU8(std::uint8_t v) { data_.push_back(v); }
 
-void Writer::WriteU16(std::uint16_t v) {
-  data_.push_back(static_cast<std::uint8_t>(v));
-  data_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
 void Writer::WriteU32(std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
     data_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -64,13 +59,6 @@ Status Reader::Need(std::size_t n) const {
 Result<std::uint8_t> Reader::ReadU8() {
   GM_RETURN_IF_ERROR(Need(1));
   return data_[pos_++];
-}
-
-Result<std::uint16_t> Reader::ReadU16() {
-  GM_RETURN_IF_ERROR(Need(2));
-  std::uint16_t v = data_[pos_] | (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8);
-  pos_ += 2;
-  return v;
 }
 
 Result<std::uint32_t> Reader::ReadU32() {

@@ -19,7 +19,6 @@ namespace gm::net {
 class Writer {
  public:
   void WriteU8(std::uint8_t v);
-  void WriteU16(std::uint16_t v);
   void WriteU32(std::uint32_t v);
   void WriteU64(std::uint64_t v);
   void WriteI64(std::int64_t v);  // zigzag varint
@@ -41,7 +40,6 @@ class Reader {
   explicit Reader(const Bytes& data) : data_(data) {}
 
   Result<std::uint8_t> ReadU8();
-  Result<std::uint16_t> ReadU16();
   Result<std::uint32_t> ReadU32();
   Result<std::uint64_t> ReadU64();
   Result<std::int64_t> ReadI64();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 namespace gm {
 namespace {
 
@@ -152,6 +155,41 @@ TEST(GridMarketTest, DeterministicAcrossRuns) {
   const auto first = run();
   const auto second = run();
   EXPECT_EQ(first, second);
+}
+
+// The failure detector pings the endpoints GridMarket serves for its hosts,
+// so a crash shows as exactly that host going dead and a restart brings it
+// back.
+TEST(GridMarketTest, ProbesReachEveryHostAndCrashHostGoesDead) {
+  GridMarket grid(SmallConfig());
+  ASSERT_TRUE(grid.EnableHealthProbes().ok());
+  const auto states = [&grid] {
+    std::map<std::string, grid::HostHealthState> by_host;
+    for (const grid::HostHealthInfo& info : grid.HostHealthReport())
+      by_host[info.host_id] = info.state;
+    return by_host;
+  };
+  const std::string crashed = grid.auctioneer(1).physical_host().id();
+
+  grid.RunFor(sim::Minutes(2));
+  auto report = states();
+  ASSERT_EQ(report.size(), 4u);
+  for (const auto& [host_id, state] : report)
+    EXPECT_EQ(state, grid::HostHealthState::kHealthy) << host_id;
+
+  ASSERT_TRUE(grid.CrashHost(1).ok());
+  grid.RunFor(sim::Minutes(3));
+  report = states();
+  for (const auto& [host_id, state] : report) {
+    EXPECT_EQ(state, host_id == crashed ? grid::HostHealthState::kDead
+                                        : grid::HostHealthState::kHealthy)
+        << host_id;
+  }
+
+  ASSERT_TRUE(grid.RestartHost(1).ok());
+  grid.RunFor(sim::Minutes(1));
+  for (const auto& [host_id, state] : states())
+    EXPECT_EQ(state, grid::HostHealthState::kHealthy) << host_id;
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include "grid/broker.hpp"
 #include "grid/monitor.hpp"
-#include "market/auctioneer_service.hpp"
 #include "market/sls.hpp"
 #include "net/fault.hpp"
 
@@ -61,10 +60,12 @@ class ChaosTest : public ::testing::Test {
       auctioneers_.push_back(
           std::make_unique<market::Auctioneer>(*hosts_.back(), kernel_));
       auctioneers_.back()->Start();
-      // Each auctioneer answers RPC (including the failure detector's
-      // "ping") at "auctioneer/<host_id>" on the lossy bus.
-      services_.push_back(std::make_unique<market::AuctioneerService>(
-          *auctioneers_.back(), bus_));
+      // Each host answers the failure detector's "ping" at its probe
+      // endpoint on the lossy bus.
+      ping_servers_.push_back(
+          std::make_unique<net::RpcServer>(bus_, ProbeEndpoint(spec.id)));
+      ping_servers_.back()->RegisterMethod(
+          "ping", [](const Bytes&) -> Result<Bytes> { return Bytes{}; });
       publishers_.push_back(std::make_unique<market::SlsPublisher>(
           *auctioneers_.back(), sls_, "test-site", kernel_,
           sim::Seconds(30)));
@@ -99,7 +100,7 @@ class ChaosTest : public ::testing::Test {
     market::Auctioneer* auctioneer = AuctioneerFor(host_id);
     ASSERT_NE(auctioneer, nullptr);
     auctioneer->Stop();
-    ASSERT_TRUE(bus_.CrashEndpoint("auctioneer/" + host_id).ok());
+    ASSERT_TRUE(bus_.CrashEndpoint(ProbeEndpoint(host_id)).ok());
   }
 
   crypto::TransferToken PayBroker(Money amount) {
@@ -140,7 +141,7 @@ class ChaosTest : public ::testing::Test {
   market::ServiceLocationService sls_;
   std::vector<std::unique_ptr<host::PhysicalHost>> hosts_;
   std::vector<std::unique_ptr<market::Auctioneer>> auctioneers_;
-  std::vector<std::unique_ptr<market::AuctioneerService>> services_;
+  std::vector<std::unique_ptr<net::RpcServer>> ping_servers_;
   std::vector<std::unique_ptr<market::SlsPublisher>> publishers_;
   std::unique_ptr<TokenAuthorizer> authorizer_;
   std::unique_ptr<TycoonSchedulerPlugin> plugin_;
@@ -265,7 +266,7 @@ TEST_F(ChaosTest, CrashedHostIsExcludedFromNewSchedulingUntilRestart) {
 
   // Restart: the endpoint comes back, probes succeed, health recovers.
   AuctioneerFor("h0")->Start();
-  ASSERT_TRUE(bus_.RestartEndpoint("auctioneer/h0").ok());
+  ASSERT_TRUE(bus_.RestartEndpoint(ProbeEndpoint("h0")).ok());
   kernel_.RunUntil(kernel_.now() + sim::Minutes(2));
   EXPECT_EQ(plugin_->HostHealth("h0"), HostHealthState::kHealthy);
   EXPECT_TRUE(bank_.CheckInvariants().ok());

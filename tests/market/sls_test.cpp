@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <optional>
 
 namespace gm::market {
 namespace {
@@ -214,42 +213,6 @@ TEST(SlsDurabilityTest, CrashAndRecoverInPlace) {
   sls.Clear();
   ASSERT_TRUE(sls.RecoverFromStore().ok());
   EXPECT_EQ(sls.live_count(), 2u);
-}
-
-TEST(SlsRpcTest, QueryOverNetwork) {
-  sim::Kernel kernel;
-  net::MessageBus bus(kernel, net::LatencyModel::Lan(), 17);
-  ServiceLocationService sls(kernel);
-  SlsService service(sls, bus);
-  sls.Publish(MakeRecord("h1", 0.5));
-  sls.Publish(MakeRecord("h2", 0.1));
-
-  SlsClient client(bus, "agent-1");
-  std::optional<std::vector<HostRecord>> result;
-  HostQuery query;
-  query.limit = 5;
-  client.Query(query, [&](Result<std::vector<HostRecord>> r) {
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    result = std::move(*r);
-  });
-  kernel.Run();
-  ASSERT_TRUE(result.has_value());
-  ASSERT_EQ(result->size(), 2u);
-  EXPECT_EQ((*result)[0].host_id, "h2");  // cheapest first
-}
-
-TEST(SlsRpcTest, PublishOverNetwork) {
-  sim::Kernel kernel;
-  net::MessageBus bus(kernel, net::LatencyModel::Lan(), 18);
-  ServiceLocationService sls(kernel);
-  SlsService service(sls, bus);
-  SlsClient client(bus, "agent-1");
-  std::optional<Status> status;
-  client.Publish(MakeRecord("h7", 0.3), [&](Status s) { status = s; });
-  kernel.Run();
-  ASSERT_TRUE(status.has_value());
-  EXPECT_TRUE(status->ok());
-  EXPECT_TRUE(sls.Lookup("h7").ok());
 }
 
 }  // namespace

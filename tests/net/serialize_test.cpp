@@ -11,12 +11,10 @@ namespace {
 TEST(SerializeTest, FixedWidthRoundTrip) {
   Writer w;
   w.WriteU8(0xab);
-  w.WriteU16(0x1234);
   w.WriteU32(0xdeadbeef);
   w.WriteU64(0x0123456789abcdefULL);
   Reader r(w.data());
   EXPECT_EQ(r.ReadU8().value(), 0xab);
-  EXPECT_EQ(r.ReadU16().value(), 0x1234);
   EXPECT_EQ(r.ReadU32().value(), 0xdeadbeefu);
   EXPECT_EQ(r.ReadU64().value(), 0x0123456789abcdefULL);
   EXPECT_TRUE(r.AtEnd());
