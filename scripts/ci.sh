@@ -198,10 +198,27 @@ begin_stage "benchmark: output checks" 180
 # One short run per workload. Each still plays every variant twice and
 # runs all of the workload's output checks (serial == threaded ledger
 # hash, bit-identical WAL recovery, conservation, digests), so a change
-# that breaks what the benchmark asserts fails here.
+# that breaks what the benchmark asserts fails here. The digest and
+# ledger-hash lines at the default seed must also equal the committed
+# scripts/bench_digests.txt: seeded outputs stay bit-identical unless a
+# change updates that file and says why.
+BENCH_DIGESTS="$SMOKE_DIR/bench_digests.txt"
+: > "$BENCH_DIGESTS"
 for workload in paper-testbed open-grid federation-scale; do
-  python3 perfbench/run.py --workload "$workload" --seconds 1
+  python3 perfbench/run.py --workload "$workload" --seconds 1 \
+    | tee "$SMOKE_DIR/$workload.log"
+  grep -E '(digest|ledger hash)[^:]*: [0-9a-f]+$' \
+    "$SMOKE_DIR/$workload.log" >> "$BENCH_DIGESTS" || true
 done
+if ! cmp -s scripts/bench_digests.txt "$BENCH_DIGESTS"; then
+  echo "benchmark digests differ from scripts/bench_digests.txt"
+  echo "-- expected (scripts/bench_digests.txt):"
+  cat scripts/bench_digests.txt
+  echo "-- got:"
+  cat "$BENCH_DIGESTS"
+  exit 1
+fi
+echo "benchmark digests match scripts/bench_digests.txt"
 end_stage
 
 begin_stage "sanitizers: ASan + UBSan" 1200

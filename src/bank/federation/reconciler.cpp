@@ -50,14 +50,15 @@ ReconciliationReport Reconciler::Sweep(std::int64_t now_us) {
   report.shards_total = router_->num_shards();
   report.conserved = true;
 
-  // Pass 1: totals and the applied-id vs double-spend-registry check.
-  for (std::size_t i = 0; i < router_->num_shards(); ++i) {
-    const BankShard* shard = router_->shard(i);
-    const ShardSnapshotInfo info = shard->SnapshotInfo();
+  const auto flag = [&report](const std::string& fault) {
+    report.conserved = false;
+    if (!report.detail.empty()) report.detail += "; ";
+    report.detail += fault;
+  };
+  const FederationAudit audit = router_->Audit();
+  for (const ShardSnapshotInfo& info : audit.shards) {
     if (info.crashed) {
-      report.conserved = false;
-      if (!report.detail.empty()) report.detail += "; ";
-      report.detail += StrFormat("shard %zu down", i);
+      flag(StrFormat("shard %zu down", info.index));
       continue;
     }
     ++report.shards_live;
@@ -67,46 +68,21 @@ ReconciliationReport Reconciler::Sweep(std::int64_t now_us) {
     report.total_balances += info.balance_total;
     report.total_holds += info.hold_total;
     report.total_minted += info.minted;
-    for (const std::string& sid : shard->AppliedSettlementIds()) {
+    for (const std::string& sid :
+         router_->shard(info.index)->AppliedSettlementIds()) {
       if (!router_->IsSettlementSpent(sid)) {
-        report.conserved = false;
-        if (!report.detail.empty()) report.detail += "; ";
-        report.detail += StrFormat(
+        flag(StrFormat(
             "settlement %s applied on shard %zu but never claimed in the "
             "double-spend registry",
-            sid.c_str(), i);
+            sid.c_str(), info.index));
       }
     }
   }
-
-  // Pass 2 (all shards live): the conservation identity itself, with
-  // in-flight holds matched against creditor applied-sets.
+  // With every shard live the audit's verdict covers the conservation
+  // identity; a down shard makes it unverifiable and is already named.
   if (report.shards_live == report.shards_total) {
-    for (std::size_t i = 0; i < router_->num_shards(); ++i) {
-      for (const SettlementHold& hold : router_->shard(i)->OpenHolds()) {
-        if (router_->ShardFor(hold.to)->HasAppliedSettlement(
-                hold.settlement_id))
-          report.in_flight += hold.amount;
-      }
-    }
-    if (report.total_balances + report.total_holds - report.in_flight !=
-        report.total_minted) {
-      report.conserved = false;
-      if (!report.detail.empty()) report.detail += "; ";
-      report.detail += StrFormat(
-          "conservation violated: balances %lld + holds %lld - in-flight "
-          "%lld != minted %lld",
-          static_cast<long long>(report.total_balances.micros()),
-          static_cast<long long>(report.total_holds.micros()),
-          static_cast<long long>(report.in_flight.micros()),
-          static_cast<long long>(report.total_minted.micros()));
-    }
-    const Status local = router_->CheckConservation();
-    if (!local.ok()) {
-      report.conserved = false;
-      if (!report.detail.empty()) report.detail += "; ";
-      report.detail += local.message();
-    }
+    report.in_flight = audit.in_flight;
+    if (!audit.verdict.ok()) flag(audit.verdict.message());
   }
 
   report.federation_hash = router_->LedgerHash();

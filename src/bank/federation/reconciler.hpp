@@ -1,15 +1,16 @@
 // Reconciler: the federation's auditor.
 //
-// Sweep() walks every shard of the federation, re-derives the global
-// conservation identity
+// Sweep() runs the router's federation audit (FederationRouter::Audit:
+// one walk per shard, checking each shard's local invariant and the
+// global conservation identity
 //
 //   sum(balances) + sum(open holds) - in_flight == sum(minted)
 //
-// (in_flight = open holds whose settlement id the creditor shard has
-// already applied — the credited-but-unreleased window of the two-phase
-// protocol), cross-checks every applied settlement id against the
-// double-spend registry, and emits a ReconciliationReport carrying the
-// federation ledger hash, signed with the reconciler's Schnorr key.
+// where in_flight = open holds whose settlement id the creditor shard
+// has already applied — the credited-but-unreleased window of the
+// two-phase protocol), cross-checks every applied settlement id against
+// the double-spend registry, and emits a ReconciliationReport carrying
+// the federation ledger hash, signed with the reconciler's Schnorr key.
 // Anyone holding the reconciler's public key can later verify that a
 // report is authentic and untampered (VerifyReport) — the signed report
 // is the federation's proof-of-solvency artifact.

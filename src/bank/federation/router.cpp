@@ -59,60 +59,6 @@ bool FederationRouter::HasAccount(const std::string& id) const {
   return ShardFor(id)->HasAccount(id);
 }
 
-Status FederationRouter::ClaimSettlementId(const std::string& settlement_id) {
-  gm::MutexLock lock(&mu_);
-  if (registry_ == nullptr) return Status::Ok();
-  const Status claim = registry_->Claim(settlement_id);
-  // AlreadyClaimed is the idempotent-resume case: the credit was applied
-  // and claimed before a crash parked the release. Anything else would
-  // be a genuine double spend and there is no such path.
-  if (claim.ok() || claim.code() == StatusCode::kAlreadyClaimed)
-    return Status::Ok();
-  return claim;
-}
-
-Status FederationRouter::CompleteSettlement(BankShard* debtor,
-                                            const SettlementHold& hold,
-                                            std::int64_t now_us,
-                                            bool resumed) {
-  BankShard* creditor = ShardFor(hold.to);
-  const auto credit =
-      creditor->ApplyCredit(hold.settlement_id, hold.to, hold.amount, now_us);
-  if (!credit.ok()) {
-    if (credit.status().code() == StatusCode::kUnavailable) {
-      // Creditor down: the transfer stays parked in the debtor's hold.
-      return credit.status();
-    }
-    if (credit.status().code() == StatusCode::kNotFound) {
-      // Creditor rejected (destination account does not exist): refund.
-      GM_RETURN_IF_ERROR(debtor->AbortHold(hold.settlement_id, now_us));
-      {
-        gm::MutexLock lock(&mu_);
-        ++stats_.settlements_aborted;
-      }
-      if (auto* ctr = aborts_ctr_.load(std::memory_order_relaxed))
-        ctr->Inc();
-      return credit.status();
-    }
-    return credit.status();
-  }
-  GM_RETURN_IF_ERROR(ClaimSettlementId(hold.settlement_id));
-  // If the debtor dies here the hold replays on restart and
-  // ResumeSettlements finds the credit already applied → release only.
-  GM_RETURN_IF_ERROR(debtor->ReleaseHold(hold.settlement_id, now_us));
-  {
-    gm::MutexLock lock(&mu_);
-    if (resumed) {
-      ++stats_.settlements_resumed;
-    } else {
-      ++stats_.settlements_completed;
-    }
-  }
-  if (auto* ctr = settlements_ctr_.load(std::memory_order_relaxed))
-    ctr->Inc();
-  return Status::Ok();
-}
-
 Status FederationRouter::Transfer(const std::string& from,
                                   const std::string& to, Money amount,
                                   std::int64_t now_us) {
@@ -126,34 +72,12 @@ Status FederationRouter::Transfer(const std::string& from,
     }
     return status;
   }
-  // Fail fast before journaling a hold when the outcome is already
-  // known: destination missing on a live creditor. (A creditor that is
-  // down between this check and the credit parks the hold instead.)
-  if (!creditor->crashed() && !creditor->HasAccount(to))
-    return Status::NotFound("account: " + to);
-  const auto wall_start = std::chrono::steady_clock::now();
-  GM_ASSIGN_OR_RETURN(const std::string settlement_id,
-                      debtor->PrepareDebit(from, to, amount, now_us));
-  {
-    gm::MutexLock lock(&mu_);
-    ++stats_.settlements_started;
-  }
-  SettlementHold hold;
-  hold.settlement_id = settlement_id;
-  hold.from = from;
-  hold.to = to;
-  hold.amount = amount;
-  hold.prepared_at_us = now_us;
-  const Status status =
-      CompleteSettlement(debtor, hold, now_us, /*resumed=*/false);
-  auto* latency = settle_latency_.load(std::memory_order_relaxed);
-  if (status.ok() && latency != nullptr) {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - wall_start)
-                        .count();
-    latency->Record(static_cast<std::uint64_t>(ns));
-  }
-  return status;
+  SettlementLeg leg;
+  leg.from = &from;
+  leg.to = &to;
+  leg.amount = amount;
+  Settle(debtor, creditor, std::span(&leg, 1), now_us, /*resumed=*/false);
+  return leg.status;
 }
 
 std::vector<Status> FederationRouter::TransferBatch(
@@ -169,9 +93,8 @@ std::vector<Status> FederationRouter::TransferBatch(
             StripeFor(requests[i].to, shards_.size())}]
         .push_back(i);
   }
+  std::vector<SettlementLeg> legs;
   for (const auto& [key, indices] : groups) {
-    BankShard* debtor = shards_[key.first];
-    BankShard* creditor = shards_[key.second];
     if (key.first == key.second) {
       // Same-shard transfers are already single atomic transactions;
       // nothing to batch.
@@ -180,105 +103,111 @@ std::vector<Status> FederationRouter::TransferBatch(
                                requests[i].amount, now_us);
       continue;
     }
-    const auto wall_start = std::chrono::steady_clock::now();
-    // Fail fast exactly like Transfer: a missing destination on a live
-    // creditor never journals a hold.
-    std::vector<std::size_t> live;
-    std::vector<TransferRequest> prepare_reqs;
-    for (const std::size_t i : indices) {
-      if (!creditor->crashed() && !creditor->HasAccount(requests[i].to)) {
-        statuses[i] = Status::NotFound("account: " + requests[i].to);
-        continue;
-      }
-      live.push_back(i);
-      prepare_reqs.push_back(requests[i]);
+    legs.assign(indices.size(), SettlementLeg{});
+    for (std::size_t j = 0; j < indices.size(); ++j) {
+      const TransferRequest& request = requests[indices[j]];
+      legs[j].from = &request.from;
+      legs[j].to = &request.to;
+      legs[j].amount = request.amount;
     }
-    if (live.empty()) continue;
+    Settle(shards_[key.first], shards_[key.second], legs, now_us,
+           /*resumed=*/false);
+    for (std::size_t j = 0; j < indices.size(); ++j)
+      statuses[indices[j]] = std::move(legs[j].status);
+  }
+  return statuses;
+}
 
-    // Phase 1, one debtor lock: holds journal in input order, so the
-    // settlement-id sequence matches one-by-one Transfer calls.
-    const auto prepared = debtor->PrepareDebits(prepare_reqs, now_us);
-    std::vector<std::size_t> held;           // indices with an open hold
-    std::vector<CreditRequest> credit_reqs;  // aligned with `held`
-    for (std::size_t j = 0; j < live.size(); ++j) {
-      if (!prepared[j].ok()) {
-        statuses[live[j]] = prepared[j].status();
-        continue;
-      }
-      {
-        gm::MutexLock lock(&mu_);
-        ++stats_.settlements_started;
-      }
-      held.push_back(live[j]);
-      credit_reqs.push_back({prepared[j].value(), requests[live[j]].to,
-                             requests[live[j]].amount});
+void FederationRouter::Settle(BankShard* debtor, BankShard* creditor,
+                              std::span<SettlementLeg> legs,
+                              std::int64_t now_us, bool resumed) {
+  auto* latency =
+      resumed ? nullptr : settle_latency_.load(std::memory_order_relaxed);
+  const auto wall_start = latency != nullptr
+                              ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
+  std::uint64_t started = 0;
+  if (!resumed) {
+    // Fail fast before journaling a hold when the outcome is already
+    // known: destination missing on a live creditor. (A creditor that is
+    // down between this check and the credit parks the hold instead.)
+    for (SettlementLeg& leg : legs) {
+      if (!creditor->crashed() && !creditor->HasAccount(*leg.to))
+        leg.status = Status::NotFound("account: " + *leg.to);
     }
-    if (held.empty()) continue;
-
-    // Phase 2, one creditor lock.
-    const auto credited = creditor->ApplyCredits(credit_reqs, now_us);
-
-    // Phases 3/4 mirror CompleteSettlement per item: Unavailable parks
-    // the hold, NotFound aborts + refunds, success claims then releases.
-    std::vector<std::size_t> releasable;       // indices into `held`
-    std::vector<std::string> release_ids;
-    for (std::size_t j = 0; j < held.size(); ++j) {
-      const std::size_t i = held[j];
-      if (!credited[j].ok()) {
-        statuses[i] = credited[j].status();
-        if (credited[j].status().code() == StatusCode::kNotFound) {
-          const Status abort =
-              debtor->AbortHold(credit_reqs[j].settlement_id, now_us);
-          if (!abort.ok()) {
-            statuses[i] = abort;
-            continue;
-          }
-          {
-            gm::MutexLock lock(&mu_);
-            ++stats_.settlements_aborted;
-          }
-          if (auto* ctr = aborts_ctr_.load(std::memory_order_relaxed))
-            ctr->Inc();
-        }
-        continue;
-      }
-      const Status claim = ClaimSettlementId(credit_reqs[j].settlement_id);
-      if (!claim.ok()) {
-        statuses[i] = claim;
-        continue;
-      }
-      releasable.push_back(j);
-      release_ids.push_back(credit_reqs[j].settlement_id);
+    // Phase 1, one debtor lock: holds journal in leg order.
+    debtor->PrepareDebits(legs, now_us);
+    for (const SettlementLeg& leg : legs) {
+      if (leg.status.ok()) ++started;
     }
-    if (release_ids.empty()) continue;
+  }
 
-    // Phase 3, one debtor lock.
-    const auto released = debtor->ReleaseHolds(release_ids, now_us);
-    std::uint64_t completed = 0;
-    for (std::size_t k = 0; k < releasable.size(); ++k) {
-      const std::size_t i = held[releasable[k]];
-      statuses[i] = released[k];
-      if (released[k].ok()) ++completed;
+  // Phase 2, one creditor lock. A leg that fails stays out of the later
+  // phases: Unavailable parks its hold on the debtor, NotFound (no such
+  // destination account) aborts it and refunds the source.
+  creditor->ApplyCredits(legs, now_us);
+  std::uint64_t aborted = 0;
+  for (SettlementLeg& leg : legs) {
+    if (leg.status.code() != StatusCode::kNotFound ||
+        leg.settlement_id.empty())
+      continue;
+    const Status abort = debtor->AbortHold(leg.settlement_id, now_us);
+    if (abort.ok()) {
+      ++aborted;
+    } else {
+      leg.status = abort;
     }
-    if (completed > 0) {
-      {
-        gm::MutexLock lock(&mu_);
-        stats_.settlements_completed += completed;
-      }
-      if (auto* ctr = settlements_ctr_.load(std::memory_order_relaxed))
-        ctr->Inc(completed);
-      if (auto* lat = settle_latency_.load(std::memory_order_relaxed)) {
-        // One wall-clock sample per settled transfer; the group shares
-        // the elapsed time since its phases were batched together.
-        const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
-        for (std::uint64_t n = 0; n < completed; ++n)
-          lat->Record(static_cast<std::uint64_t>(ns));
+  }
+
+  // Phase 3: claim each credited id in the double-spend registry, then
+  // release the holds under one debtor lock. If the debtor dies between
+  // the two, the hold replays on restart and ResumeSettlements finds the
+  // credit already applied: release only.
+  {
+    gm::MutexLock lock(&mu_);
+    stats_.settlements_started += started;
+    stats_.settlements_aborted += aborted;
+    for (SettlementLeg& leg : legs) {
+      if (leg.status.ok() && registry_ != nullptr) {
+        const Status claim = registry_->Claim(leg.settlement_id);
+        // AlreadyClaimed is the idempotent-resume case: the credit was
+        // applied and claimed before a crash parked the release. Anything
+        // else would be a genuine double spend and there is no such path.
+        if (!claim.ok() && claim.code() != StatusCode::kAlreadyClaimed)
+          leg.status = claim;
       }
     }
   }
-  return statuses;
+  if (aborted > 0) {
+    if (auto* ctr = aborts_ctr_.load(std::memory_order_relaxed))
+      ctr->Inc(aborted);
+  }
+  debtor->ReleaseHolds(legs, now_us);
+
+  std::uint64_t completed = 0;
+  for (const SettlementLeg& leg : legs) {
+    if (leg.status.ok()) ++completed;
+  }
+  if (completed == 0) return;
+  {
+    gm::MutexLock lock(&mu_);
+    if (resumed) {
+      stats_.settlements_resumed += completed;
+    } else {
+      stats_.settlements_completed += completed;
+    }
+  }
+  if (auto* ctr = settlements_ctr_.load(std::memory_order_relaxed))
+    ctr->Inc(completed);
+  if (latency != nullptr) {
+    // One wall-clock sample per settled transfer; a group shares the
+    // time since its phases began.
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - wall_start)
+                        .count();
+    for (std::uint64_t n = 0; n < completed; ++n)
+      latency->Record(static_cast<std::uint64_t>(ns));
+  }
 }
 
 Status FederationRouter::ReplaySettlement(const std::string& settlement_id) {
@@ -299,17 +228,30 @@ Status FederationRouter::ResumeSettlements(std::int64_t now_us) {
   for (BankShard* debtor : shards_) {
     if (debtor->crashed()) continue;
     // OpenHolds copies out of a sorted map, so the resume order is
-    // deterministic for a given shard state.
-    for (const SettlementHold& hold : debtor->OpenHolds()) {
-      BankShard* creditor = ShardFor(hold.to);
-      if (creditor->crashed()) continue;  // stays parked
-      const Status status =
-          CompleteSettlement(debtor, hold, now_us, /*resumed=*/true);
-      // NotFound is a completed refund; Unavailable means a shard died
-      // under us — the hold is still parked for the next resume.
-      if (!status.ok() && status.code() != StatusCode::kNotFound &&
-          status.code() != StatusCode::kUnavailable)
-        return status;
+    // deterministic for a given shard state. One group per creditor
+    // shard, in shard order; holds whose creditor is down stay parked.
+    const std::vector<SettlementHold> holds = debtor->OpenHolds();
+    std::vector<std::vector<SettlementLeg>> by_creditor(shards_.size());
+    for (const SettlementHold& hold : holds) {
+      SettlementLeg leg;
+      leg.from = &hold.from;
+      leg.to = &hold.to;
+      leg.amount = hold.amount;
+      leg.settlement_id = hold.settlement_id;
+      by_creditor[StripeFor(hold.to, shards_.size())].push_back(
+          std::move(leg));
+    }
+    for (std::size_t c = 0; c < shards_.size(); ++c) {
+      if (by_creditor[c].empty() || shards_[c]->crashed()) continue;
+      Settle(debtor, shards_[c], by_creditor[c], now_us, /*resumed=*/true);
+      for (const SettlementLeg& leg : by_creditor[c]) {
+        // NotFound is a completed refund; Unavailable means a shard died
+        // under us — the hold is still parked for the next resume.
+        const StatusCode code = leg.status.code();
+        if (!leg.status.ok() && code != StatusCode::kNotFound &&
+            code != StatusCode::kUnavailable)
+          return leg.status;
+      }
     }
   }
   return Status::Ok();
@@ -330,29 +272,25 @@ bool FederationRouter::IsSettlementSpent(
   return registry_ != nullptr && registry_->IsSpent(settlement_id);
 }
 
-Status FederationRouter::CheckConservation() const {
-  struct ShardAudit {
-    Status status;
-    ShardSnapshotInfo info;
-    Money in_flight;
-  };
-  std::vector<ShardAudit> audits(shards_.size());
+FederationAudit FederationRouter::Audit() const {
+  FederationAudit audit;
+  audit.shards.resize(shards_.size());
+  std::vector<Status> verdicts(shards_.size());
+  std::vector<Money> in_flight(shards_.size());
   gm::ParallelFor(audit_pool(), shards_.size(), [&](std::size_t i) {
-    const BankShard* shard = shards_[i];
-    ShardAudit& audit = audits[i];
-    if (shard->crashed()) {
-      audit.status = Status::Unavailable(StrFormat(
-          "shard %zu is down: federation totals unverifiable", shard->index()));
+    ShardAudit shard = shards_[i]->Audit();
+    audit.shards[i] = shard.info;
+    if (shard.info.crashed) {
+      verdicts[i] = Status::Unavailable(StrFormat(
+          "shard %zu is down: federation totals unverifiable", i));
       return;
     }
-    audit.status = shard->CheckLocalInvariants();
-    if (!audit.status.ok()) return;
-    audit.info = shard->SnapshotInfo();
+    verdicts[i] = std::move(shard.invariant);
     // The credited-but-unreleased window: the hold still counts on the
     // debtor while the creditor already holds the money.
-    for (const SettlementHold& hold : shard->OpenHolds()) {
+    for (const SettlementHold& hold : shard.open_holds) {
       if (ShardFor(hold.to)->HasAppliedSettlement(hold.settlement_id))
-        audit.in_flight += hold.amount;
+        in_flight[i] += hold.amount;
     }
   });
   Money balances;
@@ -360,32 +298,34 @@ Status FederationRouter::CheckConservation() const {
   Money minted;
   Money settled_in;
   Money settled_out;
-  Money in_flight;
-  for (const ShardAudit& audit : audits) {
-    GM_RETURN_IF_ERROR(audit.status);
-    balances += audit.info.balance_total;
-    holds += audit.info.hold_total;
-    minted += audit.info.minted;
-    settled_in += audit.info.settled_in;
-    settled_out += audit.info.settled_out;
-    in_flight += audit.in_flight;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    const ShardSnapshotInfo& info = audit.shards[i];
+    balances += info.balance_total;
+    holds += info.hold_total;
+    minted += info.minted;
+    settled_in += info.settled_in;
+    settled_out += info.settled_out;
+    audit.in_flight += in_flight[i];
+    // The first failing shard in index order decides the verdict.
+    audit.verdict.Update(std::move(verdicts[i]));
   }
-  if (balances + holds - in_flight != minted)
-    return Status::Internal(StrFormat(
+  if (balances + holds - audit.in_flight != minted) {
+    audit.verdict.Update(Status::Internal(StrFormat(
         "federation conservation violated: balances %lld + holds %lld - "
         "in-flight %lld != minted %lld",
         static_cast<long long>(balances.micros()),
         static_cast<long long>(holds.micros()),
-        static_cast<long long>(in_flight.micros()),
-        static_cast<long long>(minted.micros())));
-  if (settled_in - settled_out != in_flight)
-    return Status::Internal(StrFormat(
+        static_cast<long long>(audit.in_flight.micros()),
+        static_cast<long long>(minted.micros()))));
+  } else if (settled_in - settled_out != audit.in_flight) {
+    audit.verdict.Update(Status::Internal(StrFormat(
         "settlement ledger skewed: settled_in %lld - settled_out %lld != "
         "in-flight %lld",
         static_cast<long long>(settled_in.micros()),
         static_cast<long long>(settled_out.micros()),
-        static_cast<long long>(in_flight.micros())));
-  return Status::Ok();
+        static_cast<long long>(audit.in_flight.micros()))));
+  }
+  return audit;
 }
 
 Result<Money> FederationRouter::TotalMoney() const {

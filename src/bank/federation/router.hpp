@@ -6,15 +6,17 @@
 // reconciler, tests) computes the same owner. Single-account operations
 // (create, mint, balance) and transfers between two accounts on the same
 // shard forward to the owning shard's atomic transaction. Transfers that
-// cross shards run the two-phase settlement protocol:
+// cross shards run the two-phase settlement protocol, one routine
+// (Settle) for Transfer (a group of one), TransferBatch (one call per
+// (debtor shard, creditor shard) group) and ResumeSettlements:
 //
-//   1. PrepareDebit on the debtor shard — journaled hold.
-//   2. ApplyCredit on the creditor shard — journaled, idempotent by
+//   1. PrepareDebits on the debtor shard — journaled hold.
+//   2. ApplyCredits on the creditor shard — journaled, idempotent by
 //      settlement id (the durable applied-set).
 //   3. Claim the settlement id in the federation's double-spend registry
 //      (crypto::TokenRegistry): a second credit of the same id anywhere
 //      is a protocol violation the reconciler will flag.
-//   4. ReleaseHold on the debtor shard — the money has left.
+//   4. ReleaseHolds on the debtor shard — the money has left.
 //
 // If the creditor is down between 1 and 2 the hold stays open (the
 // transfer is parked, money safely inside the debtor's conservation
@@ -27,18 +29,20 @@
 //
 // Lock discipline: the router's own mutex (rank kBankRouter, below
 // kBankShard) only guards the double-spend registry and the settlement
-// counters — it IS held across shard calls on the settlement path (rank
-// order router < shard makes that legal) so that the claim in step 3 is
-// atomic with its credit, but shard-local traffic never touches it.
+// counters, and is never held across a shard call; each settlement phase
+// takes its shard's lock once per group. Shard-local traffic never
+// touches the router's mutex.
 //
-// Audits: LedgerHash and CheckConservation walk every shard. With a pool
-// lent (AttachPool; a ParallelRunner lends its own) they run one task
-// per shard and combine the per-shard results in shard-index order, so
-// the hash, the Status and its message are the serial walk's.
+// Audits: LedgerHash and Audit (behind CheckConservation and the
+// Reconciler's sweep) walk every shard once. With a pool lent
+// (AttachPool; a ParallelRunner lends its own) they run one task per
+// shard and combine the per-shard results in shard-index order, so the
+// hash, the Status and its message are the serial walk's.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -66,6 +70,17 @@ struct RouterStats {
   /// Replayed settlement ids the double-spend registry bounced
   /// (ReplaySettlement returning kAlreadyClaimed).
   std::uint64_t replays_rejected = 0;
+};
+
+/// FederationRouter::Audit's findings, shards in index order.
+struct FederationAudit {
+  std::vector<ShardSnapshotInfo> shards;
+  /// Open holds whose settlement id the creditor shard has already
+  /// applied (the credited-but-unreleased window), over live shards.
+  Money in_flight;
+  /// The first failure in index order (a shard down, a shard's local
+  /// invariant), else the federation identities.
+  Status verdict;
 };
 
 class FederationRouter {
@@ -123,15 +138,18 @@ class FederationRouter {
   /// True iff `settlement_id` was claimed in the double-spend registry.
   bool IsSettlementSpent(const std::string& settlement_id) const;
 
-  /// Global conservation over live shards:
-  ///   sum(balances) + sum(holds) - in_flight == sum(minted)
-  /// where in_flight is the total of open holds whose settlement id the
-  /// creditor shard has already applied (the credited-but-unreleased
-  /// window). Also validates each shard's local invariant and the
-  /// settled_in/settled_out vs in_flight identity. Unavailable if any
-  /// shard is down; the first failing shard in index order decides the
-  /// error. Callers must be quiescent (no concurrent transfers).
-  Status CheckConservation() const;
+  /// One audit of the whole federation: each shard's single locked walk
+  /// (one task per shard on the lent pool), the in-flight match and the
+  /// conservation verdict. Callers must be quiescent (no concurrent
+  /// transfers).
+  FederationAudit Audit() const;
+
+  /// Audit().verdict: global conservation over live shards,
+  ///   sum(balances) + sum(holds) - in_flight == sum(minted),
+  /// after each shard's local invariant, then the settled_in/settled_out
+  /// vs in_flight identity. Unavailable if any shard is down; the first
+  /// failing shard in index order decides the error.
+  Status CheckConservation() const { return Audit().verdict; }
 
   /// Total Money minted across live shards.
   Result<Money> TotalMoney() const;
@@ -161,11 +179,15 @@ class FederationRouter {
   void AttachTelemetry(telemetry::Telemetry* telemetry);
 
  private:
-  /// Steps 2-4 for one prepared hold sitting on `debtor`. `resumed`
-  /// selects which counter a completion bumps.
-  Status CompleteSettlement(BankShard* debtor, const SettlementHold& hold,
-                            std::int64_t now_us, bool resumed);
-  Status ClaimSettlementId(const std::string& settlement_id);
+  /// The settlement protocol for one (debtor shard, creditor shard)
+  /// group of legs, one shard lock per phase: fail fast on a missing
+  /// destination and prepare, then credit, claim and release (or abort).
+  /// Resumed legs already name their open hold and enter at the credit
+  /// phase; `resumed` also picks the counter a completion bumps. Each
+  /// leg's outcome is left in its status.
+  void Settle(BankShard* debtor, BankShard* creditor,
+              std::span<SettlementLeg> legs, std::int64_t now_us,
+              bool resumed);
 
   const std::vector<BankShard*> shards_;
   mutable gm::Mutex mu_{"bank.federation.router",

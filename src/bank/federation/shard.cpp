@@ -176,94 +176,95 @@ bool BankShard::HasAccount(const std::string& id) const {
 // ---------------------------------------------------------------------
 // Two-phase settlement
 
-Result<std::string> BankShard::PrepareDebit(const std::string& from,
-                                            const std::string& to,
-                                            Money amount,
-                                            std::int64_t now_us) {
+void BankShard::PrepareDebits(std::span<SettlementLeg> legs,
+                              std::int64_t now_us) {
   gm::MutexLock lock(&mu_);
-  return PrepareDebitLocked(from, to, amount, now_us);
+  for (SettlementLeg& leg : legs) {
+    if (leg.status.ok()) leg.status.Update(PrepareDebitLocked(leg, now_us));
+  }
 }
 
-Result<std::string> BankShard::PrepareDebitLocked(const std::string& from,
-                                                  const std::string& to,
-                                                  Money amount,
-                                                  std::int64_t now_us) {
+void BankShard::ApplyCredits(std::span<SettlementLeg> legs,
+                             std::int64_t now_us) {
+  gm::MutexLock lock(&mu_);
+  for (SettlementLeg& leg : legs) {
+    if (leg.status.ok()) leg.status.Update(ApplyCreditLocked(leg, now_us));
+  }
+}
+
+void BankShard::ReleaseHolds(std::span<SettlementLeg> legs,
+                             std::int64_t now_us) {
+  gm::MutexLock lock(&mu_);
+  for (SettlementLeg& leg : legs) {
+    if (leg.status.ok())
+      leg.status.Update(ReleaseHoldLocked(leg.settlement_id, now_us));
+  }
+}
+
+Status BankShard::PrepareDebitLocked(SettlementLeg& leg,
+                                     std::int64_t now_us) {
   if (crashed_) return ShardDown();
+  const std::string& from = *leg.from;
   ShardAccount* src = Find(from);
   if (src == nullptr) return Status::NotFound("account: " + from);
-  if (!amount.is_positive())
+  if (!leg.amount.is_positive())
     return Status::InvalidArgument("settlement amount must be > 0");
-  if (src->balance < amount)
+  if (src->balance < leg.amount)
     return Status::FailedPrecondition(
         StrFormat("insufficient funds in %s: has %s, needs %s", from.c_str(),
                   FormatMoney(src->balance).c_str(),
-                  FormatMoney(amount).c_str()));
+                  FormatMoney(leg.amount).c_str()));
   // The id is minted under the shard lock, so ids are dense per shard and
   // deterministic whenever the per-shard prepare order is deterministic
   // (the parallel runner applies one merge group per debtor shard).
-  const std::string settlement_id =
+  std::string settlement_id =
       StrFormat("s%zu-%llu", index_,
                 static_cast<unsigned long long>(next_settlement_seq_));
   net::Writer record;
   record.WriteU8(kRecordPrepare);
   record.WriteString(settlement_id);
   record.WriteString(from);
-  record.WriteString(to);
-  record.WriteI64(amount.micros());
+  record.WriteString(*leg.to);
+  record.WriteI64(leg.amount.micros());
   record.WriteI64(now_us);
   GM_RETURN_IF_ERROR(Journal(record));
-  src->balance -= amount;
+  src->balance -= leg.amount;
   SettlementHold hold;
   hold.settlement_id = settlement_id;
   hold.from = from;
-  hold.to = to;
-  hold.amount = amount;
+  hold.to = *leg.to;
+  hold.amount = leg.amount;
   hold.prepared_at_us = now_us;
   holds_.emplace(settlement_id, std::move(hold));
   ++next_settlement_seq_;
+  leg.settlement_id = std::move(settlement_id);
   if (auto* ctr = prepares_ctr_.load(std::memory_order_relaxed))
     ctr->Inc();
-  GM_RETURN_IF_ERROR(Checkpoint());
-  return settlement_id;
+  return Checkpoint();
 }
 
-Result<bool> BankShard::ApplyCredit(const std::string& settlement_id,
-                                    const std::string& to, Money amount,
+Status BankShard::ApplyCreditLocked(const SettlementLeg& leg,
                                     std::int64_t now_us) {
-  gm::MutexLock lock(&mu_);
-  return ApplyCreditLocked(settlement_id, to, amount, now_us);
-}
-
-Result<bool> BankShard::ApplyCreditLocked(const std::string& settlement_id,
-                                          const std::string& to, Money amount,
-                                          std::int64_t now_us) {
   if (crashed_) return ShardDown();
-  if (applied_.find(settlement_id) != applied_.end())
-    return false;  // exactly-once: retried credit is a no-op
-  ShardAccount* dst = Find(to);
-  if (dst == nullptr) return Status::NotFound("account: " + to);
-  if (!amount.is_positive())
+  if (applied_.find(leg.settlement_id) != applied_.end())
+    return Status::Ok();  // exactly-once: retried credit is a no-op
+  ShardAccount* dst = Find(*leg.to);
+  if (dst == nullptr) return Status::NotFound("account: " + *leg.to);
+  if (!leg.amount.is_positive())
     return Status::InvalidArgument("settlement amount must be > 0");
   net::Writer record;
   record.WriteU8(kRecordCredit);
-  record.WriteString(settlement_id);
-  record.WriteString(to);
-  record.WriteI64(amount.micros());
+  record.WriteString(leg.settlement_id);
+  record.WriteString(*leg.to);
+  record.WriteI64(leg.amount.micros());
   record.WriteI64(now_us);
   GM_RETURN_IF_ERROR(Journal(record));
-  dst->balance += amount;
-  settled_in_ += amount;
-  applied_.emplace(settlement_id, amount);
+  dst->balance += leg.amount;
+  settled_in_ += leg.amount;
+  applied_.emplace(leg.settlement_id, leg.amount);
   if (auto* ctr = credits_ctr_.load(std::memory_order_relaxed))
     ctr->Inc();
-  GM_RETURN_IF_ERROR(Checkpoint());
-  return true;
-}
-
-Status BankShard::ReleaseHold(const std::string& settlement_id,
-                              std::int64_t now_us) {
-  gm::MutexLock lock(&mu_);
-  return ReleaseHoldLocked(settlement_id, now_us);
+  return Checkpoint();
 }
 
 Status BankShard::ReleaseHoldLocked(const std::string& settlement_id,
@@ -280,37 +281,6 @@ Status BankShard::ReleaseHoldLocked(const std::string& settlement_id,
   settled_out_ += it->second.amount;
   holds_.erase(it);
   return Checkpoint();
-}
-
-std::vector<Result<std::string>> BankShard::PrepareDebits(
-    const std::vector<TransferRequest>& requests, std::int64_t now_us) {
-  gm::MutexLock lock(&mu_);
-  std::vector<Result<std::string>> out;
-  out.reserve(requests.size());
-  for (const TransferRequest& req : requests)
-    out.push_back(PrepareDebitLocked(req.from, req.to, req.amount, now_us));
-  return out;
-}
-
-std::vector<Result<bool>> BankShard::ApplyCredits(
-    const std::vector<CreditRequest>& requests, std::int64_t now_us) {
-  gm::MutexLock lock(&mu_);
-  std::vector<Result<bool>> out;
-  out.reserve(requests.size());
-  for (const CreditRequest& req : requests)
-    out.push_back(
-        ApplyCreditLocked(req.settlement_id, req.to, req.amount, now_us));
-  return out;
-}
-
-std::vector<Status> BankShard::ReleaseHolds(
-    const std::vector<std::string>& settlement_ids, std::int64_t now_us) {
-  gm::MutexLock lock(&mu_);
-  std::vector<Status> out;
-  out.reserve(settlement_ids.size());
-  for (const std::string& id : settlement_ids)
-    out.push_back(ReleaseHoldLocked(id, now_us));
-  return out;
 }
 
 Status BankShard::AbortHold(const std::string& settlement_id,
@@ -357,45 +327,45 @@ std::vector<std::string> BankShard::AppliedSettlementIds() const {
   return ids;
 }
 
-ShardSnapshotInfo BankShard::SnapshotInfo() const {
+ShardAudit BankShard::Audit() const {
   gm::MutexLock lock(&mu_);
-  ShardSnapshotInfo info;
+  ShardAudit audit;
+  ShardSnapshotInfo& info = audit.info;
   info.index = index_;
+  info.crashed = crashed_;
+  if (crashed_) {
+    audit.invariant = ShardDown();
+    return audit;
+  }
+  // One pass totals the shard and checks it; the first fault found in
+  // walk order is the verdict.
   info.accounts = accounts_.size();
-  for (const auto& [id, account] : accounts_)
+  for (const auto& [id, account] : accounts_) {
+    if (account.balance.is_negative())
+      audit.invariant.Update(Status::Internal("negative balance in " + id));
     info.balance_total += account.balance;
+  }
   info.open_holds = holds_.size();
-  for (const auto& [id, hold] : holds_) info.hold_total += hold.amount;
+  audit.open_holds.reserve(holds_.size());
+  for (const auto& [id, hold] : holds_) {
+    if (!hold.amount.is_positive())
+      audit.invariant.Update(Status::Internal("non-positive hold " + id));
+    info.hold_total += hold.amount;
+    audit.open_holds.push_back(hold);
+  }
   info.applied_settlements = applied_.size();
   info.minted = minted_;
   info.settled_in = settled_in_;
   info.settled_out = settled_out_;
-  info.crashed = crashed_;
-  return info;
-}
-
-Status BankShard::CheckLocalInvariants() const {
-  gm::MutexLock lock(&mu_);
-  if (crashed_) return ShardDown();
-  Money total;
-  for (const auto& [id, account] : accounts_) {
-    if (account.balance.is_negative())
-      return Status::Internal("negative balance in " + id);
-    total += account.balance;
-  }
-  for (const auto& [id, hold] : holds_) {
-    if (!hold.amount.is_positive())
-      return Status::Internal("non-positive hold " + id);
-    total += hold.amount;
-  }
+  const Money total = info.balance_total + info.hold_total;
   const Money expected = minted_ + settled_in_ - settled_out_;
   if (total != expected)
-    return Status::Internal(StrFormat(
+    audit.invariant.Update(Status::Internal(StrFormat(
         "shard %zu conservation violated: balances+holds %lld != "
         "minted+in-out %lld",
         index_, static_cast<long long>(total.micros()),
-        static_cast<long long>(expected.micros())));
-  return Status::Ok();
+        static_cast<long long>(expected.micros()))));
+  return audit;
 }
 
 // ---------------------------------------------------------------------

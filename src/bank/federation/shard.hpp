@@ -28,7 +28,7 @@
 // recovers to a state from which FederationRouter::ResumeSettlements
 // completes or aborts the transfer exactly once.
 //
-// Local conservation invariant, checked by CheckLocalInvariants():
+// Local conservation invariant, checked by every Audit() walk:
 //   sum(balances) + sum(open holds)
 //     == minted + settled_in - settled_out.
 //
@@ -41,6 +41,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,19 +58,24 @@ struct ShardAccount {
   Money balance;
 };
 
-/// One transfer order, as fed to FederationRouter::TransferBatch and the
-/// shard-level batch phases.
+/// One transfer order, as fed to FederationRouter::TransferBatch.
 struct TransferRequest {
   std::string from;
   std::string to;
   Money amount;
 };
 
-/// Phase-2 order for ApplyCredits.
-struct CreditRequest {
-  std::string settlement_id;
-  std::string to;
+/// One cross-shard transfer on its way through the settlement phases.
+/// `from` and `to` point at strings the caller keeps alive across the
+/// phase calls; `settlement_id` names the debtor's hold once
+/// PrepareDebits has opened it. Each phase skips a leg whose `status`
+/// has already failed, and records its own failure there.
+struct SettlementLeg {
+  const std::string* from = nullptr;
+  const std::string* to = nullptr;
   Money amount;
+  std::string settlement_id;
+  Status status;
 };
 
 /// An open prepare-hold: money debited from `from` awaiting the creditor
@@ -96,6 +102,15 @@ struct ShardSnapshotInfo {
   bool crashed = false;
 };
 
+/// What one audit walk of a shard finds (BankShard::Audit).
+struct ShardAudit {
+  ShardSnapshotInfo info;
+  /// sum(balances) + sum(holds) == minted + settled_in - settled_out and
+  /// no balance negative; Unavailable while the shard is down.
+  Status invariant;
+  std::vector<SettlementHold> open_holds;
+};
+
 class BankShard : public store::Recoverable {
  public:
   /// `index` is this shard's position in the federation stripe map; it
@@ -119,34 +134,21 @@ class BankShard : public store::Recoverable {
   bool HasAccount(const std::string& id) const;
 
   // -- two-phase settlement (driven by FederationRouter) --
-  /// Phase 1 on the debtor shard: debit `from` into a new hold and return
-  /// the settlement id. Fails (and journals nothing) on missing account
-  /// or insufficient funds.
-  Result<std::string> PrepareDebit(const std::string& from,
-                                   const std::string& to, Money amount,
-                                   std::int64_t now_us);
-  /// Phase 2 on the creditor shard: apply the credit exactly once.
-  /// Returns true if the credit was applied by THIS call, false if the
-  /// settlement id was already in the applied-set (idempotent retry).
-  Result<bool> ApplyCredit(const std::string& settlement_id,
-                           const std::string& to, Money amount,
-                           std::int64_t now_us);
+  // Each phase runs its per-leg step over `legs` in order under ONE lock
+  // acquisition. A leg that fails a step keeps the error in its status
+  // and journals nothing.
+  /// Phase 1 on the debtor shard: debit `from` into a new hold and set
+  /// the leg's settlement id. Fails on missing account or insufficient
+  /// funds.
+  void PrepareDebits(std::span<SettlementLeg> legs, std::int64_t now_us);
+  /// Phase 2 on the creditor shard: credit `to` exactly once. A
+  /// settlement id already in the applied-set is an idempotent retry:
+  /// the leg succeeds and nothing moves.
+  void ApplyCredits(std::span<SettlementLeg> legs, std::int64_t now_us);
   /// Phase 3 on the debtor shard: the creditor applied; drop the hold.
-  Status ReleaseHold(const std::string& settlement_id, std::int64_t now_us);
+  void ReleaseHolds(std::span<SettlementLeg> legs, std::int64_t now_us);
   /// Failure path on the debtor shard: refund the hold to its source.
   Status AbortHold(const std::string& settlement_id, std::int64_t now_us);
-
-  // -- batched settlement phases (FederationRouter::TransferBatch) --
-  // Each runs the per-item logic of its single-shot twin in input order
-  // under ONE lock acquisition, journaling identical records — so a batch
-  // is bit-identical to the same calls made one by one, just cheaper. A
-  // failed item occupies its slot with the error and journals nothing.
-  std::vector<Result<std::string>> PrepareDebits(
-      const std::vector<TransferRequest>& requests, std::int64_t now_us);
-  std::vector<Result<bool>> ApplyCredits(
-      const std::vector<CreditRequest>& requests, std::int64_t now_us);
-  std::vector<Status> ReleaseHolds(
-      const std::vector<std::string>& settlement_ids, std::int64_t now_us);
 
   /// True iff `settlement_id` is in this shard's durable applied-set.
   bool HasAppliedSettlement(const std::string& settlement_id) const;
@@ -154,10 +156,10 @@ class BankShard : public store::Recoverable {
   std::vector<SettlementHold> OpenHolds() const;
   std::vector<std::string> AppliedSettlementIds() const;
 
-  ShardSnapshotInfo SnapshotInfo() const;
-  /// sum(balances) + sum(holds) == minted + settled_in - settled_out,
-  /// and no balance is negative.
-  Status CheckLocalInvariants() const;
+  /// One locked walk over the accounts and holds: the shard's totals,
+  /// its local invariant and a copy of its open holds.
+  ShardAudit Audit() const;
+  ShardSnapshotInfo SnapshotInfo() const { return Audit().info; }
 
   // -- durability --
   /// Journal every subsequent mutation into `s` (non-owning; nullptr
@@ -190,13 +192,10 @@ class BankShard : public store::Recoverable {
   void AttachTelemetry(telemetry::Telemetry* telemetry);
 
  private:
-  Result<std::string> PrepareDebitLocked(const std::string& from,
-                                         const std::string& to, Money amount,
-                                         std::int64_t now_us)
+  Status PrepareDebitLocked(SettlementLeg& leg, std::int64_t now_us)
       GM_REQUIRES(mu_);
-  Result<bool> ApplyCreditLocked(const std::string& settlement_id,
-                                 const std::string& to, Money amount,
-                                 std::int64_t now_us) GM_REQUIRES(mu_);
+  Status ApplyCreditLocked(const SettlementLeg& leg, std::int64_t now_us)
+      GM_REQUIRES(mu_);
   Status ReleaseHoldLocked(const std::string& settlement_id,
                            std::int64_t now_us) GM_REQUIRES(mu_);
   ShardAccount* Find(const std::string& id) GM_REQUIRES(mu_);

@@ -94,6 +94,11 @@ class [[nodiscard]] Status {
   /// "ok" or "<code>: <message>".
   std::string ToString() const;
 
+  /// Keep the first error: take `other` only while this is still ok.
+  void Update(Status other) {
+    if (ok()) *this = std::move(other);
+  }
+
   friend bool operator==(const Status& a, const Status& b) {
     return a.code_ == b.code_ && a.message_ == b.message_;
   }

@@ -434,9 +434,9 @@ std::string GridMarket::NetMonitor() const {
          grid::RenderNetTable(bus_->stats(), plugin_.get());
 }
 
-std::string GridMarket::StorageMonitor() const {
-  if (!config_.storage.durable) return "storage: in-memory (no journals)\n";
+std::vector<grid::StoreRow> GridMarket::StoreRows() const {
   std::vector<grid::StoreRow> rows;
+  if (!config_.storage.durable) return rows;
   rows.push_back({"bank", bank_store_->stats()});
   rows.push_back({"sls", sls_store_->stats()});
   for (std::size_t i = 0; i < host_stores_.size(); ++i) {
@@ -447,7 +447,12 @@ std::string GridMarket::StorageMonitor() const {
     rows.push_back(
         {"fed/shard" + std::to_string(k), fed_stores_[k]->stats()});
   }
-  return grid::RenderStoreTable(rows);
+  return rows;
+}
+
+std::string GridMarket::StorageMonitor() const {
+  if (!config_.storage.durable) return "storage: in-memory (no journals)\n";
+  return grid::RenderStoreTable(StoreRows());
 }
 
 Result<std::vector<predict::HostPriceStats>> GridMarket::HostPriceStats(
@@ -474,26 +479,11 @@ Result<telemetry::MetricsSnapshot> GridMarket::CollectMetrics() {
     return Status::FailedPrecondition(
         "telemetry disabled (Config.telemetry.enabled)");
   // Pull-based collection: mirror the totals that components keep in
-  // their own structs into the registry, under the same names the
-  // snapshot-driven monitor tables read.
+  // their own structs (the structs the monitor tables render) into the
+  // registry.
   grid::MirrorNetStats(bus_->stats(), plugin_.get(), telemetry_->metrics());
-  if (config_.storage.durable) {
-    grid::MirrorStoreStats({"bank", bank_store_->stats()},
-                           telemetry_->metrics());
-    grid::MirrorStoreStats({"sls", sls_store_->stats()},
-                           telemetry_->metrics());
-    for (std::size_t i = 0; i < host_stores_.size(); ++i) {
-      grid::MirrorStoreStats(
-          {"price/" + auctioneers_[i]->physical_host().id(),
-           host_stores_[i]->stats()},
-          telemetry_->metrics());
-    }
-    for (std::size_t k = 0; k < fed_stores_.size(); ++k) {
-      grid::MirrorStoreStats(
-          {"fed/shard" + std::to_string(k), fed_stores_[k]->stats()},
-          telemetry_->metrics());
-    }
-  }
+  for (const grid::StoreRow& row : StoreRows())
+    grid::MirrorStoreStats(row, telemetry_->metrics());
   if (federation_ != nullptr) {
     for (const auto& shard : bank_shards_)
       grid::MirrorFederationStats(shard->SnapshotInfo(),

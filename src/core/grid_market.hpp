@@ -221,6 +221,9 @@ class GridMarket {
   std::string NetMonitor() const;
   /// Per-store durability counters (appends, snapshots, recoveries).
   std::string StorageMonitor() const;
+  /// The durable stores' counters, one row per store (empty when
+  /// in-memory).
+  std::vector<grid::StoreRow> StoreRows() const;
 
   /// The live monitor rendering (paper Figure 2).
   std::string Monitor() const;

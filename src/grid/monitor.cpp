@@ -85,37 +85,26 @@ void MirrorNetStats(const net::BusStats& bus,
   }
 }
 
-std::string RenderNetTable(const telemetry::MetricsSnapshot& snapshot) {
-  const auto counter = [&snapshot](const char* name) {
-    return static_cast<unsigned long long>(snapshot.CounterOr(name));
+std::string RenderNetTable(const net::BusStats& bus,
+                           const TycoonSchedulerPlugin* plugin) {
+  const auto u = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
   };
   std::string out = StrFormat(
       "bus: sent=%llu delivered=%llu dropped=%llu undeliverable=%llu "
       "in_flight=%llu bytes_sent=%llu bytes_dropped=%llu\n",
-      counter("net.bus.sent"), counter("net.bus.delivered"),
-      counter("net.bus.dropped"), counter("net.bus.undeliverable"),
-      counter("net.bus.in_flight"), counter("net.bus.bytes_sent"),
-      counter("net.bus.bytes_dropped"));
-  if (snapshot.HasCounter("grid.agent.probes")) {
-    out += StrFormat("agent: probes=%llu probe_failures=%llu migrations=%llu",
-                     counter("grid.agent.probes"),
-                     counter("grid.agent.probe_failures"),
-                     counter("grid.agent.migrations"));
-    if (snapshot.HasCounter("grid.agent.rpc_retries")) {
-      out += StrFormat(" rpc_retries=%llu rpc_timeouts=%llu",
-                       counter("grid.agent.rpc_retries"),
-                       counter("grid.agent.rpc_timeouts"));
-    }
-    out += "\n";
+      u(bus.sent), u(bus.delivered), u(bus.dropped), u(bus.undeliverable),
+      u(bus.in_flight), u(bus.bytes_sent), u(bus.bytes_dropped));
+  if (plugin == nullptr) return out;
+  out += StrFormat("agent: probes=%llu probe_failures=%llu migrations=%llu",
+                   u(plugin->probes_sent()), u(plugin->probe_failures()),
+                   u(plugin->migrations()));
+  if (const net::RpcClient* rpc = plugin->probe_rpc()) {
+    out += StrFormat(" rpc_retries=%llu rpc_timeouts=%llu", u(rpc->retries()),
+                     u(rpc->timeouts()));
   }
+  out += "\n";
   return out;
-}
-
-std::string RenderNetTable(const net::BusStats& bus,
-                           const TycoonSchedulerPlugin* plugin) {
-  telemetry::MetricsRegistry registry;
-  MirrorNetStats(bus, plugin, registry);
-  return RenderNetTable(registry.Snapshot());
 }
 
 void MirrorStoreStats(const StoreRow& row,
@@ -132,40 +121,27 @@ void MirrorStoreStats(const StoreRow& row,
   registry.GetCounter(prefix + "truncated_bytes")->Set(s.truncated_bytes);
 }
 
-std::string RenderStoreTable(const telemetry::MetricsSnapshot& snapshot) {
+std::string RenderStoreTable(std::vector<StoreRow> rows) {
   std::string out = StrFormat("%-12s %9s %10s %6s %5s %9s %7s %8s\n",
                               "store", "records", "bytes", "snaps", "recov",
                               "replayed", "dups", "tornB");
-  // Components are discovered from the key set; std::map keeps them in
-  // alphabetical order so the table is deterministic.
-  const std::string kSuffix = ".appended_records";
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name.rfind("store.", 0) != 0 || name.size() <= kSuffix.size() ||
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-            0) {
-      continue;
-    }
-    const std::string component =
-        name.substr(6, name.size() - 6 - kSuffix.size());
-    const std::string prefix = "store." + component + ".";
-    const auto counter = [&](const char* field) {
-      return static_cast<unsigned long long>(
-          snapshot.CounterOr(prefix + field));
-    };
+  std::sort(rows.begin(), rows.end(),
+            [](const StoreRow& a, const StoreRow& b) {
+              return a.component < b.component;
+            });
+  for (const StoreRow& row : rows) {
+    const store::StoreStats& s = row.stats;
     out += StrFormat("%-12s %9llu %10llu %6llu %5llu %9llu %7llu %8llu\n",
-                     component.c_str(), counter("appended_records"),
-                     counter("appended_bytes"), counter("snapshots_written"),
-                     counter("recoveries"), counter("replayed_records"),
-                     counter("skipped_duplicates"),
-                     counter("truncated_bytes"));
+                     row.component.c_str(),
+                     static_cast<unsigned long long>(s.appended_records),
+                     static_cast<unsigned long long>(s.appended_bytes),
+                     static_cast<unsigned long long>(s.snapshots_written),
+                     static_cast<unsigned long long>(s.recoveries),
+                     static_cast<unsigned long long>(s.replayed_records),
+                     static_cast<unsigned long long>(s.skipped_duplicates),
+                     static_cast<unsigned long long>(s.truncated_bytes));
   }
   return out;
-}
-
-std::string RenderStoreTable(const std::vector<StoreRow>& rows) {
-  telemetry::MetricsRegistry registry;
-  for (const StoreRow& row : rows) MirrorStoreStats(row, registry);
-  return RenderStoreTable(registry.Snapshot());
 }
 
 void MirrorFederationStats(const bank::federation::ShardSnapshotInfo& info,
@@ -190,62 +166,28 @@ void MirrorReconciliationStatus(
 }
 
 std::string RenderFederationTable(
-    const telemetry::MetricsSnapshot& snapshot) {
+    const std::vector<bank::federation::ShardSnapshotInfo>& shards,
+    const bank::federation::ReconciliationReport* last_report) {
   std::string out =
       StrFormat("%-8s %9s %13s %8s %8s %6s\n", "shard", "accounts",
                 "balance($)", "pending", "applied", "state");
-  // Discover shard indices from the key set and order numerically (the
-  // map's alphabetical order would put shard10 before shard2).
-  const std::string kSuffix = ".accounts";
-  std::vector<std::size_t> indices;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name.rfind("fed.shard", 0) != 0 || name.size() <= kSuffix.size() ||
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-            0) {
-      continue;
-    }
-    const std::string digits =
-        name.substr(9, name.size() - 9 - kSuffix.size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-      continue;
-    indices.push_back(static_cast<std::size_t>(std::stoull(digits)));
-  }
-  std::sort(indices.begin(), indices.end());
-  for (const std::size_t index : indices) {
-    const std::string prefix = "fed.shard" + std::to_string(index) + ".";
-    const auto counter = [&](const char* field) {
-      return static_cast<unsigned long long>(
-          snapshot.CounterOr(prefix + field));
-    };
+  for (const bank::federation::ShardSnapshotInfo& info : shards) {
     out += StrFormat("%-8s %9llu %13.2f %8llu %8llu %6s\n",
-                     ("shard" + std::to_string(index)).c_str(),
-                     counter("accounts"),
-                     snapshot.GaugeOr(prefix + "balance_dollars"),
-                     counter("open_holds"), counter("applied"),
-                     counter("crashed") != 0 ? "down" : "up");
+                     ("shard" + std::to_string(info.index)).c_str(),
+                     static_cast<unsigned long long>(info.accounts),
+                     info.balance_total.dollars(),
+                     static_cast<unsigned long long>(info.open_holds),
+                     static_cast<unsigned long long>(info.applied_settlements),
+                     info.crashed ? "down" : "up");
   }
-  if (snapshot.HasCounter("fed.reconcile.sweeps")) {
-    out += StrFormat(
-        "reconcile: sweeps=%llu conserved=%s\n",
-        static_cast<unsigned long long>(
-            snapshot.CounterOr("fed.reconcile.sweeps")),
-        snapshot.GaugeOr("fed.reconcile.conserved") != 0.0 ? "yes" : "NO");
+  if (last_report != nullptr) {
+    out += StrFormat("reconcile: sweeps=%llu conserved=%s\n",
+                     static_cast<unsigned long long>(last_report->sweep_seq),
+                     last_report->conserved ? "yes" : "NO");
   } else {
     out += "reconcile: (no sweep yet)\n";
   }
   return out;
-}
-
-std::string RenderFederationTable(
-    const std::vector<bank::federation::ShardSnapshotInfo>& shards,
-    const bank::federation::ReconciliationReport* last_report) {
-  telemetry::MetricsRegistry registry;
-  for (const bank::federation::ShardSnapshotInfo& info : shards)
-    MirrorFederationStats(info, registry);
-  if (last_report != nullptr)
-    MirrorReconciliationStatus(*last_report, registry);
-  return RenderFederationTable(registry.Snapshot());
 }
 
 std::string RenderMonitor(

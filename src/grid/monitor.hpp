@@ -29,21 +29,20 @@ std::string RenderJobTable(const std::vector<const JobRecord*>& jobs,
 /// Failure-detector verdicts: "host  health  fails  last-ok" table.
 std::string RenderHealthTable(const std::vector<HostHealthInfo>& health);
 
+// Each table renders from the structs its component keeps. The Mirror*
+// functions copy the same structs into a metrics registry under stable
+// names; GridMarket::CollectMetrics pulls through them.
+
+/// Bus fault/robustness counters, plus the scheduler agent's probe line
+/// when `plugin` is non-null.
+std::string RenderNetTable(const net::BusStats& bus,
+                           const TycoonSchedulerPlugin* plugin = nullptr);
+
 /// Mirror the bus (and, when non-null, the scheduler agent's probe)
-/// counters into `registry` under the names the snapshot-based
-/// RenderNetTable reads: "net.bus.*" and "grid.agent.*".
+/// counters into `registry` as "net.bus.*" and "grid.agent.*".
 void MirrorNetStats(const net::BusStats& bus,
                     const TycoonSchedulerPlugin* plugin,
                     telemetry::MetricsRegistry& registry);
-
-/// Network fault/robustness counters rendered from a metrics snapshot.
-/// The agent line appears only when "grid.agent.probes" is present.
-std::string RenderNetTable(const telemetry::MetricsSnapshot& snapshot);
-
-/// Shim: mirrors the structs into a scratch registry and renders its
-/// snapshot, so both entry points produce identical tables.
-std::string RenderNetTable(const net::BusStats& bus,
-                           const TycoonSchedulerPlugin* plugin = nullptr);
 
 /// One durable store's counters, labeled with the component it backs.
 struct StoreRow {
@@ -51,21 +50,25 @@ struct StoreRow {
   store::StoreStats stats;
 };
 
+/// Durability counters, one row per store in alphabetical order of
+/// component.
+std::string RenderStoreTable(std::vector<StoreRow> rows);
+
 /// Mirror one store's counters into `registry` under
 /// "store.<component>.*".
 void MirrorStoreStats(const StoreRow& row,
                       telemetry::MetricsRegistry& registry);
 
-/// Durability counters rendered from a metrics snapshot: one row per
-/// component found under "store.<component>.appended_records", in
-/// alphabetical order.
-std::string RenderStoreTable(const telemetry::MetricsSnapshot& snapshot);
-
-/// Shim over the snapshot renderer; rows come out sorted by component.
-std::string RenderStoreTable(const std::vector<StoreRow>& rows);
+/// Per-shard federation table ("shard  accounts  balance($)  pending
+/// applied  state"), one row per entry of `shards` in the order given,
+/// plus a reconciliation footer. `last_report` may be nullptr (no sweep
+/// yet).
+std::string RenderFederationTable(
+    const std::vector<bank::federation::ShardSnapshotInfo>& shards,
+    const bank::federation::ReconciliationReport* last_report);
 
 /// Mirror one bank shard's federation totals into `registry` under
-/// "fed.shard<index>.*" (the names RenderFederationTable reads).
+/// "fed.shard<index>.*".
 void MirrorFederationStats(const bank::federation::ShardSnapshotInfo& info,
                            telemetry::MetricsRegistry& registry);
 
@@ -73,19 +76,6 @@ void MirrorFederationStats(const bank::federation::ShardSnapshotInfo& info,
 void MirrorReconciliationStatus(
     const bank::federation::ReconciliationReport& report,
     telemetry::MetricsRegistry& registry);
-
-/// Per-shard federation table ("shard  accounts  balance($)  pending
-/// applied  state") plus a reconciliation footer, rendered from a metrics
-/// snapshot. Shards are discovered from "fed.shard<k>.accounts" keys and
-/// ordered by index.
-std::string RenderFederationTable(const telemetry::MetricsSnapshot& snapshot);
-
-/// Shim: mirrors the structs into a scratch registry and renders its
-/// snapshot, so both entry points produce identical tables. `last_report`
-/// may be nullptr (no sweep yet).
-std::string RenderFederationTable(
-    const std::vector<bank::federation::ShardSnapshotInfo>& shards,
-    const bank::federation::ReconciliationReport* last_report);
 
 /// Both tables with a timestamp header.
 std::string RenderMonitor(

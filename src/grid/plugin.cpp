@@ -407,6 +407,15 @@ Status TycoonSchedulerPlugin::Schedule(ActiveJob& job) {
     AuctioneerEntry& entry = auctioneers_.at(host.host_id);
     market::Auctioneer* auctioneer = entry.auctioneer;
 
+    // The SLS record can be a heartbeat old: a host that has since
+    // reached its VM limit cannot take this job, so skip it before any
+    // money moves.
+    host::PhysicalHost& physical = auctioneer->physical_host();
+    if (physical.vm_count() >=
+            static_cast<std::size_t>(physical.spec().max_vms) &&
+        physical.FindVmByOwner(record.account) == nullptr)
+      continue;
+
     HostBinding binding;
     binding.auctioneer = auctioneer;
     binding.bank_account = entry.bank_account;

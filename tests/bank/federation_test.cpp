@@ -19,6 +19,7 @@
 #include "crypto/prime.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/token.hpp"
+#include "net/serialize.hpp"
 #include "store/store.hpp"
 
 namespace gm::bank::federation {
@@ -35,6 +36,17 @@ std::string AccountOn(std::size_t shard, const std::string& prefix) {
     const std::string id = prefix + std::to_string(i);
     if (StripeFor(id, kShards) == shard) return id;
   }
+}
+
+// One settlement leg for driving the shard phases by hand; it points at
+// `from` and `to`, which must outlive it.
+SettlementLeg Leg(const std::string& from, const std::string& to,
+                  Money amount) {
+  SettlementLeg leg;
+  leg.from = &from;
+  leg.to = &to;
+  leg.amount = amount;
+  return leg;
 }
 
 fs::path FreshDir(const std::string& name) {
@@ -178,7 +190,7 @@ TEST(FederationChaosTest, CreditorCrashParksHoldUntilResume) {
             StatusCode::kUnavailable);
   EXPECT_EQ(fed.router->Balance(from).value(), Money::Dollars(15));
   EXPECT_EQ(fed.router->PendingSettlements(), 1u);
-  EXPECT_TRUE(fed.shards[0]->CheckLocalInvariants().ok());
+  EXPECT_TRUE(fed.shards[0]->Audit().invariant.ok());
 
   // A resume while the creditor is still down leaves the hold parked.
   ASSERT_TRUE(fed.router->ResumeSettlements(200).ok());
@@ -230,13 +242,13 @@ TEST(FederationChaosTest, DebtorCrashBetweenCreditAndReleaseIsExactlyOnce) {
   // Drive the phases by hand to freeze the protocol exactly between the
   // creditor's credit and the debtor's release — the window where the
   // money exists on the creditor while the debtor still holds it.
-  const auto sid =
-      fed.shards[0]->PrepareDebit(from, to, Money::Dollars(5), 100);
-  ASSERT_TRUE(sid.ok());
-  const auto credited =
-      fed.shards[1]->ApplyCredit(*sid, to, Money::Dollars(5), 100);
-  ASSERT_TRUE(credited.ok());
-  EXPECT_TRUE(*credited);
+  SettlementLeg leg = Leg(from, to, Money::Dollars(5));
+  fed.shards[0]->PrepareDebits({&leg, 1}, 100);
+  ASSERT_TRUE(leg.status.ok());
+  const std::string sid = leg.settlement_id;
+  fed.shards[1]->ApplyCredits({&leg, 1}, 100);
+  ASSERT_TRUE(leg.status.ok());
+  EXPECT_EQ(fed.shards[1]->Balance(to).value(), Money::Dollars(6));
 
   // Debtor dies before releasing; the WAL replays the open hold.
   fed.shards[0]->SimulateCrash();
@@ -244,19 +256,20 @@ TEST(FederationChaosTest, DebtorCrashBetweenCreditAndReleaseIsExactlyOnce) {
   ASSERT_EQ(fed.shards[0]->OpenHolds().size(), 1u);
 
   // Resume finds the credit already applied: release only, no second
-  // credit. The idempotent ApplyCredit retry returns false.
+  // credit. A retried credit of the same id succeeds and moves nothing.
   ASSERT_TRUE(fed.router->ResumeSettlements(200).ok());
   EXPECT_EQ(fed.router->Balance(to).value(), Money::Dollars(6));
   EXPECT_EQ(fed.router->Balance(from).value(), Money::Dollars(15));
   EXPECT_EQ(fed.router->PendingSettlements(), 0u);
-  EXPECT_TRUE(fed.router->IsSettlementSpent(*sid));
+  EXPECT_TRUE(fed.router->IsSettlementSpent(sid));
   EXPECT_TRUE(fed.router->CheckConservation().ok());
 
-  const auto retry =
-      fed.shards[1]->ApplyCredit(*sid, to, Money::Dollars(5), 300);
-  ASSERT_TRUE(retry.ok());
-  EXPECT_FALSE(*retry);
+  SettlementLeg retry = Leg(from, to, Money::Dollars(5));
+  retry.settlement_id = sid;
+  fed.shards[1]->ApplyCredits({&retry, 1}, 300);
+  EXPECT_TRUE(retry.status.ok()) << retry.status.message();
   EXPECT_EQ(fed.router->Balance(to).value(), Money::Dollars(6));
+  EXPECT_EQ(fed.shards[1]->SnapshotInfo().settled_in, Money::Dollars(5));
 }
 
 TEST(FederationDurabilityTest, ShardRecoversBitIdenticalLedger) {
@@ -308,7 +321,7 @@ TEST(FederationDurabilityTest, SnapshotPlusTailRecoversSameHash) {
   fed.shards[1]->SimulateCrash();
   ASSERT_TRUE(fed.shards[1]->Restart().ok());
   EXPECT_EQ(fed.shards[1]->LedgerHash(), hash_before);
-  EXPECT_TRUE(fed.shards[1]->CheckLocalInvariants().ok());
+  EXPECT_TRUE(fed.shards[1]->Audit().invariant.ok());
 }
 
 TEST(FederationDurabilityTest, RestartWithoutStoreFails) {
@@ -361,16 +374,25 @@ TEST(BankShardTest, LedgerHashIsShaOfCanonicalText) {
   ASSERT_TRUE(shard.CreateAccount("zero").ok());
   ASSERT_TRUE(shard.CreateAccount("credited").ok());
   ASSERT_TRUE(shard.Mint("small", Money::FromMicros(250'000), 10).ok());
-  const auto open = shard.PrepareDebit("large", "remote-a",
-                                       Money::FromMicros(1'500'000), 20);
-  ASSERT_TRUE(open.ok());
-  EXPECT_EQ(*open, "s0-1");
-  const auto released =
-      shard.PrepareDebit("small", "remote-b", Money::FromMicros(5), 30);
-  ASSERT_TRUE(released.ok());
-  ASSERT_TRUE(shard.ReleaseHold(*released, 40).ok());
-  ASSERT_TRUE(
-      shard.ApplyCredit("s3-17", "credited", Money::FromMicros(42), 50).ok());
+  const std::string large = "large";
+  const std::string small = "small";
+  const std::string remote_a = "remote-a";
+  const std::string remote_b = "remote-b";
+  const std::string remote_c = "remote-c";
+  const std::string credited_id = "credited";
+  SettlementLeg open = Leg(large, remote_a, Money::FromMicros(1'500'000));
+  shard.PrepareDebits({&open, 1}, 20);
+  ASSERT_TRUE(open.status.ok());
+  EXPECT_EQ(open.settlement_id, "s0-1");
+  SettlementLeg released = Leg(small, remote_b, Money::FromMicros(5));
+  shard.PrepareDebits({&released, 1}, 30);
+  ASSERT_TRUE(released.status.ok());
+  shard.ReleaseHolds({&released, 1}, 40);
+  ASSERT_TRUE(released.status.ok());
+  SettlementLeg credited = Leg(remote_c, credited_id, Money::FromMicros(42));
+  credited.settlement_id = "s3-17";
+  shard.ApplyCredits({&credited, 1}, 50);
+  ASSERT_TRUE(credited.status.ok());
 
   SettlementHold hold;
   hold.settlement_id = "s0-1";
@@ -387,7 +409,7 @@ TEST(BankShardTest, LedgerHashIsShaOfCanonicalText) {
       /*settled_in=*/Money::FromMicros(42),
       /*settled_out=*/Money::FromMicros(5), /*next_settlement_seq=*/3);
   EXPECT_EQ(shard.LedgerHash(), crypto::Sha256::HexDigest(canonical));
-  EXPECT_TRUE(shard.CheckLocalInvariants().ok());
+  EXPECT_TRUE(shard.Audit().invariant.ok());
 }
 
 TEST(ReconcilerTest, SignsVerifiableConservationReport) {
@@ -446,6 +468,33 @@ TEST(ReconcilerTest, FlagsCrashedShard) {
   EXPECT_TRUE(reconciler.Sweep(2000).conserved);
 }
 
+TEST(ReconcilerTest, ReportsACorruptedShardOnce) {
+  Federation fed;
+  Reconciler reconciler(fed.router.get(), crypto::TestGroup(), 77);
+  const std::string a = AccountOn(2, "a");
+  ASSERT_TRUE(fed.router->CreateAccount(a, Money::Dollars(10)).ok());
+
+  // Replaying a create record over a live account replaces its balance
+  // while adding to minted: shard 2's local identity breaks, and with it
+  // the federation's.
+  net::Writer record;
+  record.WriteU8(1);  // create
+  record.WriteString(a);
+  record.WriteI64(Money::Dollars(3).micros());
+  ASSERT_TRUE(fed.shards[2]->ApplyRecord(record.data()).ok());
+
+  const ReconciliationReport report = reconciler.Sweep(1000);
+  EXPECT_FALSE(report.conserved);
+  EXPECT_NE(report.detail.find("shard 2"), std::string::npos) << report.detail;
+  std::size_t violations = 0;
+  for (std::size_t at = report.detail.find("conservation violated");
+       at != std::string::npos;
+       at = report.detail.find("conservation violated", at + 1))
+    ++violations;
+  EXPECT_EQ(violations, 1u) << report.detail;
+  EXPECT_TRUE(reconciler.VerifyReport(report).ok());
+}
+
 TEST(ReconcilerTest, FlagsSettlementNeverClaimedInRegistry) {
   Federation fed;
   Reconciler reconciler(fed.router.get(), crypto::TestGroup(), 77);
@@ -455,9 +504,11 @@ TEST(ReconcilerTest, FlagsSettlementNeverClaimedInRegistry) {
   // A credit applied behind the router's back: durable on the shard but
   // never claimed in the double-spend registry. The sweep must call out
   // the rogue settlement id.
-  const auto credited =
-      fed.shards[1]->ApplyCredit("s0-999", to, Money::Dollars(2), 100);
-  ASSERT_TRUE(credited.ok());
+  const std::string payer = AccountOn(0, "payer");
+  SettlementLeg rogue = Leg(payer, to, Money::Dollars(2));
+  rogue.settlement_id = "s0-999";
+  fed.shards[1]->ApplyCredits({&rogue, 1}, 100);
+  ASSERT_TRUE(rogue.status.ok());
 
   const ReconciliationReport report = reconciler.Sweep(1000);
   EXPECT_FALSE(report.conserved);

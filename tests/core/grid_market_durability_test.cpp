@@ -153,5 +153,57 @@ TEST(GridMarketDurabilityTest, StorageMonitorRendersPerStoreCounters) {
   EXPECT_NE(monitor.find("price/h03"), std::string::npos);
 }
 
+std::size_t CountOf(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1))
+    ++count;
+  return count;
+}
+
+TEST(GridMarketDurabilityTest, FederationMonitorRendersShardsAndSweeps) {
+  const fs::path dir = FreshDir("fedmonitor");
+  GridMarket::Config config = DurableConfig(dir);
+  config.bank_shards = 11;  // shard10 must follow shard9, not shard1
+  GridMarket grid(config);
+  ASSERT_TRUE(grid.RegisterUser("alice", Money::Dollars(10.0)).ok());
+
+  // The whole table, byte for byte: shards in index order, alice's
+  // mirrored account on its stripe, no sweep yet.
+  const std::string rows =
+      "shard     accounts    balance($)  pending  applied  state\n"
+      "shard0           0          0.00        0        0     up\n"
+      "shard1           0          0.00        0        0     up\n"
+      "shard2           1          0.00        0        0     up\n"
+      "shard3           0          0.00        0        0     up\n"
+      "shard4           0          0.00        0        0     up\n"
+      "shard5           1          0.00        0        0     up\n"
+      "shard6           1          0.00        0        0     up\n"
+      "shard7           0          0.00        0        0     up\n"
+      "shard8           0          0.00        0        0     up\n"
+      "shard9           1          0.00        0        0     up\n"
+      "shard10          1         10.00        0        0     up\n";
+  std::string monitor = grid.FederationMonitor();
+  EXPECT_EQ(monitor, rows + "reconcile: (no sweep yet)\n");
+
+  const auto report = grid.Reconcile();
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->conserved) << report->detail;
+  monitor = grid.FederationMonitor();
+  EXPECT_NE(monitor.find("reconcile: sweeps=1 conserved=yes\n"),
+            std::string::npos)
+      << monitor;
+
+  ASSERT_TRUE(grid.CrashBankShard(3).ok());
+  monitor = grid.FederationMonitor();
+  EXPECT_NE(monitor.find("\nshard3           0          0.00        0        "
+                         "0   down\n"),
+            std::string::npos)
+      << monitor;
+  EXPECT_EQ(CountOf(monitor, "  down\n"), 1u) << monitor;
+  EXPECT_EQ(CountOf(monitor, "    up\n"), 10u) << monitor;
+  ASSERT_TRUE(grid.RestartBankShard(3).ok());
+}
+
 }  // namespace
 }  // namespace gm

@@ -184,6 +184,40 @@ TEST_F(EndToEndTest, UnknownRuntimeEnvironmentFailsBeforeFunding) {
   EXPECT_TRUE(bank_.CheckInvariants().ok());
 }
 
+TEST_F(EndToEndTest, FullHostIsSkippedBeforeFunding) {
+  AddHosts(2);
+  // h0 reaches its VM limit after its SLS record was published, so the
+  // stale record still offers a slot and the scheduler picks h0.
+  for (int i = 0; i < hosts_[0]->spec().max_vms; ++i) {
+    ASSERT_TRUE(hosts_[0]
+                    ->CreateVm("filler-" + std::to_string(i),
+                               "tenant-" + std::to_string(i), kernel_.now())
+                    .ok());
+  }
+  const auto job_id =
+      broker_->Submit(ScanXrsl(2, 4), PayBroker(Money::Dollars(10)));
+  ASSERT_TRUE(job_id.ok()) << job_id.status().ToString();
+  const auto job = broker_->Job(*job_id);
+  ASSERT_TRUE(job.ok());
+
+  // No money moved toward the full host: no bank transfer from the job
+  // into h0's escrow mirror, and no market account on h0.
+  for (const bank::AuditEntry& entry : bank_.audit_log()) {
+    EXPECT_FALSE(entry.from == (*job)->account && entry.to == "auctioneer:h0")
+        << entry.kind << " " << entry.from << " -> " << entry.to;
+  }
+  EXPECT_FALSE(auctioneers_[0]->HasAccount((*job)->account));
+
+  // The job still runs, on the host with room.
+  kernel_.RunUntil(sim::Minutes(30));
+  EXPECT_EQ((*job)->state, JobState::kFinished)
+      << JobStateName((*job)->state) << " failure=" << (*job)->failure;
+  EXPECT_EQ((*job)->hosts_used, std::vector<std::string>{"h1"});
+  EXPECT_EQ(bank_.Balance((*job)->account).value(),
+            Money::Dollars(10) - (*job)->spent);
+  EXPECT_TRUE(bank_.CheckInvariants().ok());
+}
+
 TEST_F(EndToEndTest, BadTokenRejectedBeforeScheduling) {
   AddHosts(1);
   auto token = PayBroker(Money::Dollars(10));

@@ -422,10 +422,14 @@ TEST(FederationAuditTest, LentPoolCountsCreditedButUnreleasedHolds) {
   ASSERT_FALSE(to.empty());
   bank::federation::BankShard* debtor = world.federation->ShardFor(from);
   bank::federation::BankShard* creditor = world.federation->ShardFor(to);
-  const Money amount = Money::FromMicros(7);
-  const Result<std::string> sid = debtor->PrepareDebit(from, to, amount, 0);
-  ASSERT_TRUE(sid.ok()) << sid.status().message();
-  ASSERT_TRUE(creditor->ApplyCredit(*sid, to, amount, 0).ok());
+  bank::federation::SettlementLeg leg;
+  leg.from = &from;
+  leg.to = &to;
+  leg.amount = Money::FromMicros(7);
+  debtor->PrepareDebits({&leg, 1}, 0);
+  ASSERT_TRUE(leg.status.ok()) << leg.status.message();
+  creditor->ApplyCredits({&leg, 1}, 0);
+  ASSERT_TRUE(leg.status.ok()) << leg.status.message();
   ASSERT_EQ(world.federation->PendingSettlements(), 1u);
 
   const Audit audit = ExpectPooledAuditMatchesInline(world);

@@ -1,10 +1,11 @@
 // End-to-end telemetry through the assembled GridMarket: one submission
 // must produce a complete causal chain (submit -> fund-verify -> bid ->
 // execute -> stage-out -> refund) with every lifecycle span appearing
-// exactly once, and the snapshot-driven monitor tables must render the
-// same text as the legacy struct-taking shims.
+// exactly once, and CollectMetrics must export the totals the components
+// keep in their own structs.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -139,37 +140,66 @@ TEST(TelemetryE2eTest, JsonlExportRoundTrips) {
   EXPECT_TRUE(saw_span);
 }
 
-TEST(TelemetryE2eTest, NetTableRendersIdenticallyFromSnapshot) {
-  GridMarket grid(TelemetryConfig());
+TEST(TelemetryE2eTest, CollectMetricsExportsTheComponentStructs) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "gm_telemetry_collect";
+  std::filesystem::remove_all(dir);
+  GridMarket::Config config = TelemetryConfig();
+  config.storage.durable = true;
+  config.storage.dir = dir.string();
+  config.bank_shards = 3;
+  GridMarket grid(config);
+  ASSERT_TRUE(grid.EnableHealthProbes().ok());
   ASSERT_TRUE(grid.RegisterUser("alice", Money::Dollars(100.0)).ok());
   ASSERT_TRUE(grid.SubmitJob("alice", SmallJob(), Money::Dollars(10.0)).ok());
   grid.RunUntil(sim::Minutes(20));
+  ASSERT_TRUE(grid.Reconcile().ok());
 
   const auto snapshot = grid.CollectMetrics();
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(grid::RenderNetTable(*snapshot),
-            grid::RenderNetTable(grid.bus().stats(), &grid.broker().plugin()));
-}
+  const net::BusStats bus = grid.bus().stats();
+  ASSERT_GT(bus.sent, 0u);
+  EXPECT_EQ(snapshot->CounterOr("net.bus.sent"), bus.sent);
+  EXPECT_EQ(snapshot->CounterOr("net.bus.delivered"), bus.delivered);
+  EXPECT_EQ(snapshot->CounterOr("net.bus.dropped"), bus.dropped);
+  EXPECT_EQ(snapshot->CounterOr("net.bus.undeliverable"), bus.undeliverable);
+  EXPECT_EQ(snapshot->CounterOr("net.bus.in_flight"), bus.in_flight);
+  EXPECT_EQ(snapshot->CounterOr("net.bus.bytes_sent"), bus.bytes_sent);
+  EXPECT_EQ(snapshot->CounterOr("net.bus.bytes_dropped"), bus.bytes_dropped);
+  const grid::TycoonSchedulerPlugin& plugin = grid.broker().plugin();
+  ASSERT_GT(plugin.probes_sent(), 0u);
+  EXPECT_EQ(snapshot->CounterOr("grid.agent.probes"), plugin.probes_sent());
 
-TEST(TelemetryE2eTest, StoreTableShimMatchesSnapshotRenderer) {
-  store::StoreStats a;
-  a.appended_records = 12;
-  a.appended_bytes = 4096;
-  a.snapshots_written = 2;
-  store::StoreStats b;
-  b.appended_records = 7;
-  b.recoveries = 1;
-  b.replayed_records = 7;
-  const std::vector<grid::StoreRow> rows = {{"bank", a}, {"price/h00", b}};
+  const std::vector<grid::StoreRow> rows = grid.StoreRows();
+  ASSERT_EQ(rows.size(), 2u + config.hosts + config.bank_shards);
+  for (const grid::StoreRow& row : rows) {
+    const std::string prefix = "store." + row.component + ".";
+    EXPECT_GT(row.stats.appended_records, 0u) << row.component;
+    EXPECT_EQ(snapshot->CounterOr(prefix + "appended_records"),
+              row.stats.appended_records)
+        << row.component;
+    EXPECT_EQ(snapshot->CounterOr(prefix + "appended_bytes"),
+              row.stats.appended_bytes)
+        << row.component;
+    EXPECT_EQ(snapshot->CounterOr(prefix + "recoveries"),
+              row.stats.recoveries)
+        << row.component;
+  }
 
-  telemetry::MetricsRegistry registry;
-  for (const auto& row : rows) grid::MirrorStoreStats(row, registry);
-  EXPECT_EQ(grid::RenderStoreTable(rows),
-            grid::RenderStoreTable(registry.Snapshot()));
-  // Both component rows present.
-  const std::string table = grid::RenderStoreTable(rows);
-  EXPECT_NE(table.find("bank"), std::string::npos);
-  EXPECT_NE(table.find("price/h00"), std::string::npos);
+  for (std::size_t k = 0; k < grid.bank_shard_count(); ++k) {
+    const bank::federation::ShardSnapshotInfo info =
+        grid.bank_shard(k).SnapshotInfo();
+    const std::string prefix = "fed.shard" + std::to_string(k) + ".";
+    EXPECT_EQ(snapshot->CounterOr(prefix + "accounts"), info.accounts);
+    EXPECT_EQ(snapshot->CounterOr(prefix + "open_holds"), info.open_holds);
+    EXPECT_EQ(snapshot->CounterOr(prefix + "applied"),
+              info.applied_settlements);
+    EXPECT_EQ(snapshot->GaugeOr(prefix + "balance_dollars"),
+              info.balance_total.dollars());
+    EXPECT_EQ(snapshot->CounterOr(prefix + "crashed"), 0u);
+  }
+  EXPECT_EQ(snapshot->CounterOr("fed.reconcile.sweeps"), 1u);
+  EXPECT_EQ(snapshot->GaugeOr("fed.reconcile.conserved"), 1.0);
 }
 
 }  // namespace
