@@ -43,9 +43,6 @@ int main() {
   config.adversary.flood_rate_per_sec = 0.5;
   config.adversary.replay_rate_per_sec = 0.3;
 
-  // Wall-clock settlement latency is reported but not enforced, so the
-  // verdict is identical on any machine.
-  config.slo.enforce_settle_p99 = false;
   config.slo.max_queue_depth = 10'000;
 
   // Full fidelity: every arrival pays the broker with a signed token and

@@ -2,8 +2,9 @@
 # Full CI gate: determinism/money lint, clang-tidy (when available), tier-1
 # build + tests (warnings as errors), the telemetry smoke stage (chaos
 # example must emit a parseable JSONL with a complete job span chain), a
-# run of every other example, the auction-tick microbenchmark, the
-# benchmark build, logic tests and output checks, then the sanitizer job.
+# run of every other example (flash_crowd's scenario digest pinned), the
+# auction-tick microbenchmark, the benchmark build, logic tests and
+# output checks, then the sanitizer job.
 # Usage: scripts/ci.sh [ctest args...]
 set -euo pipefail
 
@@ -164,6 +165,21 @@ for example in quickstart bioinformatics_grid price_advisor token_security \
   fi
   echo "examples smoke: $example ok"
 done
+# flash_crowd's scenario digest folds every seeded observable of the run;
+# it must equal the committed scripts/example_digests.txt, so a change
+# that moves it on purpose updates that file and says why.
+EXAMPLE_DIGESTS="$SMOKE_DIR/example_digests.txt"
+grep -E '^scenario digest: [0-9a-f]+$' "$SMOKE_DIR/flash_crowd.log" \
+  | sed 's/^/flash_crowd /' > "$EXAMPLE_DIGESTS" || true
+if ! cmp -s scripts/example_digests.txt "$EXAMPLE_DIGESTS"; then
+  echo "example digests differ from scripts/example_digests.txt"
+  echo "-- expected (scripts/example_digests.txt):"
+  cat scripts/example_digests.txt
+  echo "-- got:"
+  cat "$EXAMPLE_DIGESTS"
+  exit 1
+fi
+echo "example digests match scripts/example_digests.txt"
 end_stage
 
 begin_stage "micro: auction tick" 60

@@ -60,11 +60,11 @@ LAYERS = {
              "net", "predict", "sim", "store", "telemetry"},
     "workload": {"common", "core", "grid", "workload"},
     # The scenario engine drives whole-economy stress runs through the
-    # core/ facade and the host/ parallel runtime only: it may model load
-    # (math/, workload/) and read telemetry, but must never reach into
-    # market/ or bank/ internals — adversaries attack public surfaces.
-    "scenario": {"common", "core", "host", "math", "scenario", "sim",
-                 "telemetry", "workload"},
+    # core/ facade only: it may model load (math/, workload/) and read
+    # telemetry, but must never reach into host/, market/ or bank/
+    # internals — adversaries attack public surfaces.
+    "scenario": {"common", "core", "math", "scenario", "sim", "telemetry",
+                 "workload"},
     # Sublayer of bank/: the sharded federation may build on the bank,
     # durability and telemetry layers but must never reach up into the
     # facade (core/) or broker (grid/) layers above it.

@@ -300,16 +300,6 @@ const market::Auctioneer& GridMarket::auctioneer(std::size_t index) const {
   return *auctioneers_[index];
 }
 
-void GridMarket::DetachAuctionTicks() {
-  // Stop() is idempotent, so a detached market can be detached again
-  // (e.g. scenario setup after a chaos restart re-armed the ticks).
-  for (auto& auctioneer : auctioneers_) auctioneer->Stop();
-}
-
-void GridMarket::ResumeAuctionTicks() {
-  for (auto& auctioneer : auctioneers_) auctioneer->Start();
-}
-
 Status GridMarket::EnableHealthProbes(grid::HealthOptions options) {
   return plugin_->EnableHealthProbes(*bus_, options);
 }

@@ -155,14 +155,6 @@ class GridMarket {
   bank::Bank& bank() { return *bank_; }
   grid::GridBroker& broker() { return *broker_; }
 
-  // -- scenario engine hooks --
-  /// Stop every auctioneer's self-scheduled periodic tick so an external
-  /// runner (host::ParallelRunner via the scenario engine) can drive the
-  /// auctions explicitly. SLS heartbeats and the rest of the kernel
-  /// schedule keep running. Re-attach with ResumeAuctionTicks().
-  void DetachAuctionTicks();
-  void ResumeAuctionTicks();
-
   /// Price statistics of every host for the prediction layer, from the
   /// named statistics window ("hour", "day", "week").
   Result<std::vector<predict::HostPriceStats>> HostPriceStats(

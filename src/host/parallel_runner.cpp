@@ -21,6 +21,9 @@ std::string BidderName(const market::Auctioneer& auctioneer, int k) {
   return auctioneer.physical_host().id() + "~u" + std::to_string(k);
 }
 
+/// Funding -> host-account transfers each shard buffers per round.
+constexpr int kTransfersPerShard = 4;
+
 }  // namespace
 
 ParallelRunner::ParallelRunner(sim::Kernel& kernel,
@@ -47,7 +50,6 @@ void ParallelRunner::AddShard(market::Auctioneer* auctioneer,
   GM_ASSERT(auctioneer != nullptr, "null auctioneer shard");
   Shard shard;
   shard.auctioneer = auctioneer;
-  shard.index = shards_.size();
   shard.funding_account = std::move(funding_account);
   shard.host_account = std::move(host_account);
   shard.rng = ShardRng(config_.seed, shards_.size());
@@ -66,12 +68,12 @@ void ParallelRunner::PrepareShard(Shard& shard) {
   shard.prepared = true;
 }
 
+// A shard's synthetic bidders are funded once (PrepareShard) and stay
+// funded for the runner's lifetime: the auctions charge those stakes.
+// gmlint: money-sink(bidder stakes live as long as the runner)
 void ParallelRunner::RunShard(Shard& shard, sim::SimTime now) {
   market::Auctioneer& auctioneer = *shard.auctioneer;
   if (!shard.prepared) PrepareShard(shard);
-  // 0-based round index for the load-source hooks, captured before the
-  // churn cadence below bumps the counter.
-  const std::uint64_t round = shard.rounds_run;
 
   // Account churn: close the first bidder (reclaiming its escrowed
   // balance) and reopen it in the same round, so this tick sees a bid
@@ -104,33 +106,13 @@ void ParallelRunner::RunShard(Shard& shard, sim::SimTime now) {
     GM_ASSERT(bid.ok(), "parallel_runner: SetBid failed");
   }
 
-  // Scenario load source: arrivals/adversary bids before the auction,
-  // completion observation after. Cross-shard effects arrive buffered.
-  std::vector<ShardOp> load_ops;
-  if (load_source_ != nullptr)
-    load_source_->BeforeTick(shard.index, round, now, auctioneer, load_ops);
-
   auctioneer.Tick();
-
-  if (load_source_ != nullptr)
-    load_source_->AfterTick(shard.index, round, now, auctioneer, load_ops);
-  for (ShardOp& op : load_ops) {
-    switch (op.kind) {
-      case ShardOp::Kind::kTransfer:
-        shard.fed_ops.push_back(
-            {std::move(op.from), std::move(op.to), op.amount});
-        break;
-      case ShardOp::Kind::kReplay:
-        shard.replay_ops.push_back(std::move(op.settlement_id));
-        break;
-    }
-  }
 
   // A lock-exercising read of the ledger in the parallel phase. The
   // result is discarded: under chaos a bank shard may be crashed, and
   // nothing branches on it. Transfers are buffered for the merge.
   (void)federation_->Balance(shard.funding_account);
-  for (int t = 0; t < config_.transfers_per_shard; ++t) {
+  for (int t = 0; t < kTransfersPerShard; ++t) {
     PendingOp op;
     op.from = shard.funding_account;
     op.to = shard.host_account;
@@ -211,19 +193,6 @@ Result<ParallelRunReport> ParallelRunner::Run(int rounds) {
     // Phase 3: apply the buffered transfers — the merge is what makes
     // the parallel ledger bit-identical to the serial one.
     MergeFederationOps(now, report);
-    // Replay ops run after the round's transfers have settled, in shard
-    // order, so each probe sees a deterministic registry state.
-    for (Shard& shard : shards_) {
-      for (const std::string& sid : shard.replay_ops) {
-        ++report.replay_attempts;
-        // Refused either way: kAlreadyClaimed (the id was spent) or
-        // kNotFound (nothing to replay). attempts != rejected would
-        // mean the registry accepted a double-spend.
-        const Status status = federation_->ReplaySettlement(sid);
-        if (!status.ok()) ++report.replays_rejected;
-      }
-      shard.replay_ops.clear();
-    }
     ++report.rounds;
   }
   return report;

@@ -9,8 +9,9 @@
 //                 round boundary (the clock is read-only to workers),
 //   2. parallel — every shard, on a pool thread, perturbs its bids from
 //                 its own deterministic RNG stream, runs its auction
-//                 tick and *buffers* the federation transfers it wants,
-//                 reading the ledger only through its locks,
+//                 tick and *buffers* a fixed batch of funding -> host
+//                 federation transfers, reading the ledger only through
+//                 its locks,
 //   3. merge    — after the pool barrier the buffered transfers are
 //                 applied grouped by debtor bank shard, in fixed order.
 //
@@ -39,40 +40,6 @@
 
 namespace gm::host {
 
-/// A buffered cross-shard effect a load source emits during the parallel
-/// phase; the runner applies it at the merge barrier in fixed order.
-struct ShardOp {
-  enum class Kind {
-    kTransfer,  // federation transfer from -> to
-    kReplay,    // present settlement_id to the double-spend registry
-  };
-  Kind kind = Kind::kTransfer;
-  std::string from;
-  std::string to;
-  Money amount;
-  std::string settlement_id;
-};
-
-/// Scenario hook: external load driven into each shard's auction during
-/// the parallel phase (open-loop arrivals, adversaries). The determinism
-/// contract extends to implementations: the hooks for shard k run on
-/// whichever pool thread owns shard k that round, so they may touch only
-/// state local to shard k plus the shard's own auctioneer, must derive
-/// randomness purely from (seed, shard, round), and must buffer every
-/// cross-shard effect into `ops` instead of performing it.
-class ShardLoadSource {
- public:
-  virtual ~ShardLoadSource() = default;
-  /// Called before the shard's auction tick (inject arrivals and bids).
-  virtual void BeforeTick(std::size_t shard_index, std::uint64_t round,
-                          sim::SimTime now, market::Auctioneer& auctioneer,
-                          std::vector<ShardOp>& ops) = 0;
-  /// Called after the tick (observe completions, buffer refunds).
-  virtual void AfterTick(std::size_t shard_index, std::uint64_t round,
-                         sim::SimTime now, market::Auctioneer& auctioneer,
-                         std::vector<ShardOp>& ops) = 0;
-};
-
 struct ParallelRunnerConfig {
   int threads = 8;
   /// Root seed; shard k derives its private RNG stream from it by
@@ -82,8 +49,6 @@ struct ParallelRunnerConfig {
   sim::SimDuration interval = 10 * sim::kSecond;
   /// Synthetic bidders the runner opens per shard to keep auctions busy.
   int bidders_per_shard = 2;
-  /// Funding -> host-account transfers each shard buffers per round.
-  int transfers_per_shard = 4;
   /// Execute shards inline on the calling thread, in shard order, instead
   /// of on the pool. The determinism contract: identical results.
   bool serial = false;
@@ -102,12 +67,6 @@ struct ParallelRunReport {
   /// Federation transfers applied/rejected at the merge barriers.
   std::uint64_t fed_ops_applied = 0;
   std::uint64_t fed_ops_failed = 0;
-  /// Load-source replay ops presented to the double-spend registry at the
-  /// merge barrier, and how many it refused (kAlreadyClaimed for spent
-  /// ids, kNotFound for probes of never-claimed ids). Any gap between the
-  /// two counters means an accepted double-spend.
-  std::uint64_t replay_attempts = 0;
-  std::uint64_t replays_rejected = 0;
 };
 
 class ParallelRunner {
@@ -137,10 +96,6 @@ class ParallelRunner {
   /// (LedgerHash, CheckConservation) until it is destroyed or given
   /// another federation; nullptr detaches.
   void SetFederation(bank::federation::FederationRouter* federation);
-  /// Attach a scenario load source (non-owning; nullptr detaches). Its
-  /// transfer ops join the federation merge; replay ops are presented to
-  /// the registry after the merge, in shard order.
-  void SetLoadSource(ShardLoadSource* source) { load_source_ = source; }
 
   /// Execute `rounds` allocation rounds over all shards. Safe to call
   /// repeatedly; shard RNG streams continue where they left off. Fails
@@ -157,7 +112,6 @@ class ParallelRunner {
   };
   struct Shard {
     market::Auctioneer* auctioneer = nullptr;
-    std::size_t index = 0;
     std::string funding_account;
     std::string host_account;
     Rng rng;
@@ -168,8 +122,6 @@ class ParallelRunner {
     /// Written only by the worker running this shard during the parallel
     /// phase, read by the main thread after the barrier.
     std::vector<PendingOp> fed_ops;
-    /// Load-source replay ops (settlement ids), same write/read contract.
-    std::vector<std::string> replay_ops;
   };
 
   /// The per-shard round body: runs on a pool thread (or inline when
@@ -186,7 +138,6 @@ class ParallelRunner {
   std::unique_ptr<gm::ThreadPool> pool_;
   std::vector<Shard> shards_;
   bank::federation::FederationRouter* federation_ = nullptr;  // non-owning
-  ShardLoadSource* load_source_ = nullptr;                    // non-owning
 };
 
 }  // namespace gm::host

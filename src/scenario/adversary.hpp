@@ -14,8 +14,8 @@
 //                 double-spend registry for acceptance.
 //
 // Like TrafficModel, every method is a pure function of (config, explicit
-// arguments, the caller's Rng stream) — no mutable state — so shards can
-// share one instance and serial == parallel holds bit-for-bit.
+// arguments, the caller's Rng stream) — no mutable state — so a seed
+// reproduces the same attack stream bit-for-bit.
 #pragma once
 
 #include <cstdint>

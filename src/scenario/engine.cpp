@@ -26,7 +26,7 @@ namespace {
 
 // FNV-1a 64-bit. Local on purpose: the scenario layer must not pull in
 // crypto/ for a non-adversarial checksum, and FNV is enough to make any
-// cross-thread divergence visible.
+// run-to-run divergence visible.
 class Fnv {
  public:
   void Bytes(const void* data, std::size_t n) {

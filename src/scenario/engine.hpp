@@ -1,9 +1,9 @@
 // Scenario engine: epochs, SLO folding and the determinism digest.
 //
 // The engine owns the experiment loop, not the system under test. A
-// ScenarioBackend adapts one concrete stack (the full-fidelity grid
-// facade, or the sharded parallel runtime) behind two calls: run one
-// epoch of simulated time and report a ledger hash. The engine then
+// ScenarioBackend adapts the system (GridScenarioBackend: the
+// full-fidelity grid facade) behind two calls: run one epoch of
+// simulated time and report a ledger hash. The engine then
 //
 //   - drives `epochs` epochs and hands each EpochTelemetry row to the
 //     SloChecker,
@@ -11,11 +11,10 @@
 //     queue depth returns to its pre-flash envelope),
 //   - folds every deterministic observable into a 64-bit FNV-1a digest.
 //
-// The digest is the scenario-level determinism contract: a serial run
-// and an 8-thread run of the same config and seed must produce the same
-// digest bit-for-bit. Wall-clock observables (settlement p99) are
-// deliberately excluded — they are reported but can never enter the
-// digest.
+// The digest is the scenario-level determinism contract: two runs of the
+// same config and seed must produce the same digest bit-for-bit, on any
+// machine. Wall-clock observables (settlement p99) are deliberately
+// excluded — they are reported but can never enter the digest.
 #pragma once
 
 #include <cstdint>

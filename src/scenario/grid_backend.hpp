@@ -5,8 +5,7 @@
 // refund — so every subsystem the paper deploys is under load. The
 // price of full fidelity is scale: user registration does Schnorr
 // keygen, so the open-loop population is folded onto a small set of
-// registered Grid identities (order.user % identities). For
-// million-user populations use ParallelScenarioBackend instead.
+// registered Grid identities (order.user % identities).
 //
 // Adversaries here attack the real surfaces:
 //   snipers  place short-deadline bids directly on host auctioneers,

@@ -66,9 +66,10 @@ struct SloConfig {
   /// An honest job is starved when wait > starvation_multiple * deadline.
   double starvation_multiple = 4.0;
   double settle_p99_ns_limit = 5.0e6;  // 5 ms
-  /// Wall-clock latency is nondeterministic; set false to exclude the
-  /// p99 check from pass/fail (it is still reported).
-  bool enforce_settle_p99 = true;
+  /// Wall-clock latency is nondeterministic, so by default the p99 check
+  /// is reported only and verdicts are machine-independent; set true to
+  /// make it part of pass/fail.
+  bool enforce_settle_p99 = false;
 };
 
 struct SloViolation {

@@ -57,7 +57,7 @@ JobOrder TrafficModel::SampleOrder(Rng& rng) const {
   // Samplers are constructed per call on purpose: NormalSampler caches a
   // spare Box-Muller variate, and sharing that cache across shard RNG
   // streams would entangle them (shard A's draw would change shard B's
-  // next sample), breaking the serial == parallel determinism contract.
+  // next sample), breaking the per-stream determinism contract.
   JobOrder order;
   order.user = rng.NextBelow(config_.users);
   double size;

@@ -268,10 +268,9 @@ TEST(ParallelRunnerFederationChaosTest, ShardCrashMidEscrowSettlesOnce) {
   chaos.Join();
 
   ASSERT_TRUE(report.ok());
-  // Every buffered op landed in exactly one bucket.
-  const auto expected_ops =
-      report->ticks *
-      static_cast<std::uint64_t>(world.runner->config().transfers_per_shard);
+  // Every buffered op landed in exactly one bucket: each shard tick
+  // buffers four funding -> host transfers.
+  const std::uint64_t expected_ops = report->ticks * 4;
   EXPECT_EQ(report->fed_ops_applied + report->fed_ops_failed, expected_ops);
 
   // Quiesce: restart whatever died, then drive every parked escrow to

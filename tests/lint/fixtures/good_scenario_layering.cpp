@@ -1,7 +1,7 @@
 // gmlint fixture: must pass include-layering under the scenario layer's
 // rules. The scenario engine may drive the system through the core/
-// facade and the host/ parallel runtime, model load with math/, and read
-// telemetry — all sanctioned dependencies.
+// facade, model load with math/, and read telemetry — all sanctioned
+// dependencies.
 //
 // gmlint: layer(scenario)
 #include <string>
@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "core/grid_market.hpp"
-#include "host/parallel_runner.hpp"
 #include "math/distributions.hpp"
 #include "sim/time.hpp"
 #include "telemetry/metrics.hpp"

@@ -41,7 +41,7 @@ CASES = [
     ("good_include_layering.cpp", "include-layering", 0),
     ("bad_federation_layering.cpp", "include-layering", 2),
     ("good_federation_layering.cpp", "include-layering", 0),
-    ("bad_scenario_layering.cpp", "include-layering", 2),
+    ("bad_scenario_layering.cpp", "include-layering", 3),
     ("good_scenario_layering.cpp", "include-layering", 0),
     ("bad_hotpath_map.cpp", "hotpath-map-iteration", 3),
     ("good_hotpath_map.cpp", "hotpath-map-iteration", 0),

@@ -29,9 +29,6 @@ ScenarioConfig SmokeScenario() {
   config.adversary.flood_rate_per_sec = 0.3;
   config.adversary.replay_rate_per_sec = 0.3;
 
-  // Wall-clock latency is reported but nondeterministic; keep pass/fail
-  // deterministic for the digest comparison below.
-  config.slo.enforce_settle_p99 = false;
   config.slo.max_queue_depth = 10'000;
   return config;
 }
@@ -54,6 +51,9 @@ TEST(GridScenarioBackendTest, FlashCrowdWithAdversariesPassesEverySlo) {
   EXPECT_EQ(result.slo.epochs_checked, 3);
   EXPECT_GT(result.total_arrivals, 0u);
   EXPECT_EQ(result.digest.size(), 16u);
+  // The epoch-1 spike drains: queue depth returns to its pre-flash
+  // envelope a measurable time after the flash ends.
+  EXPECT_GT(result.flash_recovery, 0);
 
   for (const EpochTelemetry& telem : result.epochs) {
     // Conservation is exact every epoch, adversaries or not, and every

@@ -105,7 +105,7 @@ TEST(ScenarioEngineTest, WallClockLatencyStaysOutOfTheDigest) {
   const std::string baseline = ScenarioEngine(config).Run(base).digest;
 
   // settle_p99_ns varies run to run on real hardware; the digest must
-  // not change with it or serial == parallel could never hold.
+  // not change with it or the same seed could not reproduce it.
   for (auto& row : rows) row.settle_p99_ns = 9.9e9;
   FakeBackend jittered(rows);
   EXPECT_EQ(ScenarioEngine(config).Run(jittered).digest, baseline);
