@@ -1,15 +1,15 @@
-// Chaos recovery: run a job on a lossy network, crash a host AND the
-// bank mid-run, and watch the failure detector migrate the work while
-// the bank replays its write-ahead log back to the exact ledger.
+// Chaos recovery: crash a host AND the bank mid-run, watch the scheduler
+// migrate the work off the dead host, and watch the bank replay its
+// write-ahead log back to the exact ledger.
 //
 //   $ ./chaos_recovery
 //
-// Demonstrates the fault-tolerance surface: a 10%-loss network (every
-// RPC retries with exponential backoff, every server dedups retries so
-// effects apply exactly once), scheduler health probes, job migration
-// with the crashed host's escrow refunded to the job, and durable
-// storage: the bank process is killed mid-experiment and restarted from
-// its journal with a hash-identical ledger. Telemetry rides along: the
+// Demonstrates the fault-tolerance surface: a crashed host stops
+// heartbeating to the Service Location Service, its record ages past the
+// TTL, and the scheduler declares it dead and migrates the job with the
+// host's escrow refunded to it; durable storage: the bank process is
+// killed mid-experiment and restarted from its journal with a
+// hash-identical ledger. Telemetry rides along: the
 // job's TraceId links every lifecycle span (submit -> fund-verify -> bid
 // -> stage-in -> execute -> stage-out -> refund) across both crashes,
 // the timeline is printed at the end, and the full registry + trace ring
@@ -29,15 +29,13 @@
 int main() {
   using namespace gm;
 
-  // 6 dual-CPU hosts behind a network that silently drops 10% of all
-  // messages (probes, bids, transfers alike). Durable storage journals
-  // the ledger, host directory and price histories.
+  // 6 dual-CPU hosts heartbeating to the SLS once a minute. Durable
+  // storage journals the ledger, host directory and price histories.
   const std::string storage_dir =
       (std::filesystem::temp_directory_path() / "gm_chaos_recovery").string();
   std::filesystem::remove_all(storage_dir);
   GridMarket::Config config;
   config.hosts = 6;
-  config.network = net::LatencyModel::Lossy(0.10);
   config.storage.durable = true;
   config.storage.dir = storage_dir;
   config.telemetry.enabled = true;
@@ -51,16 +49,6 @@ int main() {
       [&grid] { return "[t=" + sim::FormatTime(grid.now()) + "] "; });
 
   if (!grid.RegisterUser("alice", Money::Dollars(1000)).ok()) return 1;
-
-  // Failure detector: ping every host each 10 s (3 attempts per round);
-  // 2 failed rounds -> SUSPECT, 3 -> DEAD and jobs migrate.
-  grid::HealthOptions health;
-  health.probe_period = sim::Seconds(10);
-  health.probe_timeout = sim::Seconds(2);
-  health.probe_attempts = 3;
-  health.suspect_after = 2;
-  health.dead_after = 3;
-  if (!grid.EnableHealthProbes(health).ok()) return 1;
 
   grid::JobDescription job;
   job.executable = "/usr/bin/blast-scan";
@@ -79,7 +67,7 @@ int main() {
   }
 
   // Let the first chunks start, then kill one of the hosts the job is
-  // actually running on: its VMs freeze and its RPC endpoint vanishes.
+  // actually running on: its VMs freeze and it stops heartbeating.
   grid.RunFor(sim::Minutes(10));
   const grid::JobRecord* record = *grid.Job(*job_id);
   if (record->hosts_used.empty()) {
@@ -96,9 +84,25 @@ int main() {
               sim::FormatTime(grid.now()).c_str(), victim.c_str(),
               record->CompletedChunks(), job.TotalChunks());
 
+  // The host's SLS record expires one TTL after its last heartbeat; the
+  // scheduler's next liveness check then declares it dead and re-bids
+  // the job on the survivors, re-running the lost chunks. The migration
+  // refunds the dead host's escrow through the bank, so it must land
+  // before the bank goes down.
+  const grid::TycoonSchedulerPlugin& plugin = grid.broker().plugin();
+  while (plugin.HostHealth(victim) != grid::HostHealthState::kDead ||
+         plugin.migrations() == 0) {
+    if (grid.now() > sim::Hours(1)) {
+      std::fprintf(stderr, "%s was never declared dead\n", victim.c_str());
+      return 1;
+    }
+    grid.RunFor(sim::Minutes(1));
+  }
+  std::printf("t=%s  %s declared dead (SLS record expired), job migrated\n",
+              sim::FormatTime(grid.now()).c_str(), victim.c_str());
+
   // While the host is down, the bank crashes too: its in-memory ledger
   // is wiped and every transfer fails Unavailable until it restarts.
-  grid.RunFor(sim::Minutes(5));
   const std::string ledger_before = grid.bank().LedgerHash();
   if (!grid.CrashBank().ok()) return 1;
   std::printf("t=%s  crashed the bank (ledger %.12s...)\n",
@@ -112,8 +116,6 @@ int main() {
               sim::FormatTime(grid.now()).c_str(),
               ledger_recovered ? "recovered bit-identical" : "MISMATCH");
 
-  // The probes need ~3 failed rounds to declare the host dead; after
-  // that the scheduler re-bids on survivors and re-runs the lost chunks.
   grid.RunUntil(sim::Hours(24));
 
   record = *grid.Job(*job_id);
@@ -123,7 +125,7 @@ int main() {
   std::printf("spent:      %s of %s (rest refunded)\n\n",
               FormatMoney(record->spent).c_str(),
               FormatMoney(record->budget).c_str());
-  std::printf("%s\n", grid.NetMonitor().c_str());
+  std::printf("%s\n", grid.HealthMonitor().c_str());
   std::printf("%s", grid.StorageMonitor().c_str());
 
   // One-job causal timeline: every buffered event carrying this job's
@@ -150,12 +152,11 @@ int main() {
                   sim::FormatTime(event.start).c_str(), event.name.c_str(),
                   event.detail.c_str());
     } else {
-      std::printf("  %10s  |  %-11s %s  (%s after %s, %u attempt%s)\n",
+      std::printf("  %10s  |  %-11s %s  (%s after %s)\n",
                   sim::FormatTime(event.start).c_str(), event.name.c_str(),
                   event.detail.c_str(),
                   telemetry::SpanStatusName(event.status),
-                  sim::FormatTime(event.Duration()).c_str(), event.attempts,
-                  event.attempts == 1 ? "" : "s");
+                  sim::FormatTime(event.Duration()).c_str());
     }
   }
   std::printf("  (+ %d auction-tick instants while the job was live)\n",
@@ -213,8 +214,7 @@ int main() {
   const bool ok = record->state == grid::JobState::kFinished && victim_dead &&
                   ledger_recovered &&
                   escrow == record->budget - record->spent &&
-                  grid.CheckInvariants().ok() &&
-                  grid.bus().stats().Reconciles() && trace_complete;
+                  grid.CheckInvariants().ok() && trace_complete;
   std::printf("%s\n", ok ? "RECOVERED: ledger replayed, money conserved, "
                            "job complete, trace chain intact"
                          : "FAILED");

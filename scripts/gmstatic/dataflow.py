@@ -115,21 +115,22 @@ class MoneySummary:
 def money_summaries(graph, direct_events):
     """`direct_events(fn)` -> (opens, closes) from fn's own body.
     Solved summaries fold in callee behavior: calling a function that
-    opens without closing makes the caller an opener too."""
+    opens without closing makes the caller an opener too. A call site
+    opens when any of its targets may open, but closes only when every
+    target closes (a virtual call whose overrides disagree may skip the
+    settle)."""
 
     def transfer(fn, summary_of):
         opens, closes = direct_events(fn)
         for site in graph.calls.get(fn, ()):
-            if site.in_lambda:
+            if site.in_lambda or not site.targets:
                 continue
-            for target in site.targets:
-                callee = summary_of(target)
-                if callee is None:
-                    continue
-                if callee.opens_net:
-                    opens = True
-                if callee.closes and not callee.opens:
-                    closes = True
+            callees = [summary_of(target) for target in site.targets]
+            if any(c is not None and c.opens_net for c in callees):
+                opens = True
+            if all(c is not None and c.closes and not c.opens
+                   for c in callees):
+                closes = True
         return MoneySummary(opens, closes)
 
     return solve(graph, transfer)

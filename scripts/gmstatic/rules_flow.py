@@ -389,21 +389,21 @@ def _money_summaries(ctx, graph):
 
 def _event_kind(name, site, summaries):
     """'open' / 'close' / None for a call site (by surface name first,
-    then through the callee's fixpoint summary)."""
+    then through the callees' fixpoint summaries). A call may open when
+    any resolved target opens, but it settles a hold only when every
+    target does: one override that skips the close leaves the hold open
+    on its path."""
     if name in OPEN_SURFACES:
         return "open"
     if name in CLOSE_SURFACES:
         return "close"
-    if site is not None:
-        for target in site.targets:
-            summary = summaries.get(target)
-            if summary is not None and summary.opens_net:
-                return "open"
-        for target in site.targets:
-            summary = summaries.get(target)
-            if summary is not None and summary.closes \
-                    and not summary.opens:
-                return "close"
+    if site is not None and site.targets:
+        callees = [summaries.get(target) for target in site.targets]
+        if any(c is not None and c.opens_net for c in callees):
+            return "open"
+        if all(c is not None and c.closes and not c.opens
+               for c in callees):
+            return "close"
     return None
 
 

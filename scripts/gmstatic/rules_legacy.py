@@ -47,7 +47,8 @@ LAYERS = {
     "crypto": {"common", "crypto"},
     "bestresponse": {"bestresponse", "common"},
     "telemetry": {"common", "sim", "telemetry"},
-    "net": {"common", "net", "sim", "telemetry"},
+    # A leaf: the record serializer the journals share.
+    "net": {"common", "net"},
     "store": {"common", "net", "store", "telemetry"},
     "bank": {"bank", "common", "crypto", "net", "sim", "store", "telemetry"},
     "host": {"bank", "common", "host", "market", "sim"},

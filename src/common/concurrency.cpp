@@ -59,9 +59,6 @@ int HeldLockCount() { return static_cast<int>(held_locks.size()); }
 // gmstatic's lock-order rule fails the build when this table and the
 // lockrank namespace drift apart.
 constexpr LockRankEntry kLockRankTable[] = {
-    {"kRpcClient", lockrank::kRpcClient},
-    {"kRpcServer", lockrank::kRpcServer},
-    {"kBus", lockrank::kBus},
     {"kSls", lockrank::kSls},
     {"kAuctioneer", lockrank::kAuctioneer},
     {"kBankReconciler", lockrank::kBankReconciler},

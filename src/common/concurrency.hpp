@@ -66,9 +66,6 @@ namespace gm {
 // histogram (kMetric), and anything may log (kLogger, the maximum).
 // Adding a lock means picking its place in this order, deliberately.
 namespace lockrank {
-inline constexpr int kRpcClient = 10;
-inline constexpr int kRpcServer = 12;
-inline constexpr int kBus = 15;
 inline constexpr int kSls = 20;
 inline constexpr int kAuctioneer = 25;
 // Bank federation: the reconciler sweeps shards (and reads the router's

@@ -39,9 +39,9 @@ const char* StatusCodeName(StatusCode code);
 
 /// A success-or-error value. Cheap to copy on success (no allocation).
 ///
-/// [[nodiscard]]: every funded transfer, WAL append and RPC outcome must
-/// be checked — a silently dropped error is exactly the accounting bug
-/// class the market substrate cannot tolerate. Deliberate discards must
+/// [[nodiscard]]: every funded transfer, WAL append and settlement
+/// outcome must be checked — a silently dropped error is exactly the
+/// accounting bug class the market substrate cannot tolerate. Deliberate discards must
 /// say so with a (void) cast and a justifying comment.
 class [[nodiscard]] Status {
  public:

@@ -34,9 +34,10 @@ GridMarket::GridMarket(Config config)
       crypto::DistinguishedName{"SE", "SweGrid", "CA", "SweGrid Root CA"},
       group_, rng_);
   sls_ = std::make_unique<market::ServiceLocationService>(kernel_);
-  bus_ = std::make_unique<net::MessageBus>(kernel_, config_.network,
-                                           rng_.Next());
-  if (telemetry_ != nullptr) bus_->AttachTelemetry(telemetry_.get());
+  // This draw seeds nothing. It stays because every later seed and key
+  // comes from rng_ in order, and the pinned scenario and benchmark
+  // digests depend on that order.
+  (void)rng_.Next();
 
   // Warm boot: recover the ledger and host directory from the journals,
   // then fast-forward the kernel past the newest recovered timestamp so
@@ -170,12 +171,6 @@ GridMarket::GridMarket(Config config)
       GM_ASSERT(federation_->CreateAccount("host:" + spec.id).ok(),
                 "federation host account creation failed");
     }
-    ping_servers_.push_back(
-        std::make_unique<net::RpcServer>(*bus_, grid::ProbeEndpoint(spec.id)));
-    ping_servers_.back()->RegisterMethod(
-        "ping", [](const Bytes&) -> Result<Bytes> { return Bytes{}; });
-    if (telemetry_ != nullptr)
-      ping_servers_.back()->AttachTelemetry(telemetry_.get());
     GM_ASSERT(plugin_
                   ->RegisterAuctioneer(*auctioneers_.back(),
                                        "auctioneer:" + spec.id)
@@ -188,10 +183,15 @@ GridMarket::GridMarket(Config config)
   if (resume > 0) kernel_.RunUntil(resume);
   for (std::size_t i = 0; i < auctioneers_.size(); ++i) {
     auctioneers_[i]->Start();
-    publishers_.push_back(std::make_unique<market::SlsPublisher>(
-        *auctioneers_[i], *sls_, config_.site, kernel_,
-        config_.sls_heartbeat));
+    publishers_.push_back(MakePublisher(i));
   }
+}
+
+std::unique_ptr<market::SlsPublisher> GridMarket::MakePublisher(
+    std::size_t index) {
+  return std::make_unique<market::SlsPublisher>(
+      *auctioneers_[index], *sls_, config_.site, kernel_,
+      config_.sls_heartbeat);
 }
 
 GridMarket::~GridMarket() = default;
@@ -300,10 +300,6 @@ const market::Auctioneer& GridMarket::auctioneer(std::size_t index) const {
   return *auctioneers_[index];
 }
 
-Status GridMarket::EnableHealthProbes(grid::HealthOptions options) {
-  return plugin_->EnableHealthProbes(*bus_, options);
-}
-
 void GridMarket::InstantOnActiveTraces(const char* name,
                                        const std::string& detail) {
   if (telemetry_ == nullptr) return;
@@ -316,24 +312,31 @@ void GridMarket::InstantOnActiveTraces(const char* name,
 Status GridMarket::CrashHost(std::size_t index) {
   if (index >= auctioneers_.size())
     return Status::InvalidArgument("host index out of range");
+  if (publishers_[index] == nullptr)
+    return Status::FailedPrecondition("host already crashed");
   auctioneers_[index]->Stop();
+  // The host stops heartbeating: its SLS record ages out and the
+  // scheduler treats it as dead from then on.
+  publishers_[index].reset();
   // With a journal behind it, a crash genuinely loses the in-memory
   // price window; in-memory mode keeps it (nothing to recover from).
   if (config_.storage.durable) auctioneers_[index]->CrashStorageState();
-  const std::string host_id = auctioneers_[index]->physical_host().id();
-  InstantOnActiveTraces("host-crash", "host=" + host_id);
-  return bus_->CrashEndpoint(grid::ProbeEndpoint(host_id));
+  InstantOnActiveTraces(
+      "host-crash", "host=" + auctioneers_[index]->physical_host().id());
+  return Status::Ok();
 }
 
 Status GridMarket::RestartHost(std::size_t index) {
   if (index >= auctioneers_.size())
     return Status::InvalidArgument("host index out of range");
-  GM_RETURN_IF_ERROR(bus_->RestartEndpoint(
-      grid::ProbeEndpoint(auctioneers_[index]->physical_host().id())));
+  if (publishers_[index] != nullptr)
+    return Status::FailedPrecondition("host is not crashed");
   if (config_.storage.durable) {
     GM_RETURN_IF_ERROR(auctioneers_[index]->RecoverHistory().status());
   }
   auctioneers_[index]->Start();
+  // The publisher heartbeats once on construction.
+  publishers_[index] = MakePublisher(index);
   InstantOnActiveTraces(
       "host-restart", "host=" + auctioneers_[index]->physical_host().id());
   return Status::Ok();
@@ -419,9 +422,8 @@ std::vector<grid::HostHealthInfo> GridMarket::HostHealthReport() const {
   return plugin_->HostHealthReport();
 }
 
-std::string GridMarket::NetMonitor() const {
-  return grid::RenderHealthTable(plugin_->HostHealthReport()) +
-         grid::RenderNetTable(bus_->stats(), plugin_.get());
+std::string GridMarket::HealthMonitor() const {
+  return grid::RenderHealthTable(plugin_->HostHealthReport());
 }
 
 std::vector<grid::StoreRow> GridMarket::StoreRows() const {
@@ -471,7 +473,6 @@ Result<telemetry::MetricsSnapshot> GridMarket::CollectMetrics() {
   // Pull-based collection: mirror the totals that components keep in
   // their own structs (the structs the monitor tables render) into the
   // registry.
-  grid::MirrorNetStats(bus_->stats(), plugin_.get(), telemetry_->metrics());
   for (const grid::StoreRow& row : StoreRows())
     grid::MirrorStoreStats(row, telemetry_->metrics());
   if (federation_ != nullptr) {

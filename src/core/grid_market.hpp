@@ -3,10 +3,13 @@
 // Wires together everything the paper deploys: a simulation kernel, the
 // Tycoon Bank, a Grid certificate authority, the Service Location Service,
 // per-host Auctioneers with SLS heartbeats, the token authorizer and the
-// ARC/Tycoon scheduler plugin behind a GridBroker. Users are registered
-// with bank accounts and CA-issued certificates; job submission performs
-// the full market flow (bank transfer -> transfer token -> authorization
-// -> best-response bidding -> VMs -> execution -> refund).
+// ARC/Tycoon scheduler plugin behind a GridBroker. The plugin sits next
+// to the broker and calls the SLS, the auctioneers and the bank in
+// process (paper §3.1); a host's SLS heartbeat is its only liveness
+// signal. Users are registered with bank accounts and CA-issued
+// certificates; job submission performs the full market flow (bank
+// transfer -> transfer token -> authorization -> best-response bidding
+// -> VMs -> execution -> refund).
 //
 // Typical use (see examples/quickstart.cpp):
 //   GridMarket::Config config;
@@ -28,8 +31,6 @@
 #include "grid/broker.hpp"
 #include "grid/monitor.hpp"
 #include "market/sls.hpp"
-#include "net/bus.hpp"
-#include "net/rpc.hpp"
 #include "predict/normal_model.hpp"
 #include "sim/kernel.hpp"
 #include "store/store.hpp"
@@ -54,11 +55,9 @@ class GridMarket {
     sim::SimDuration vm_boot_time = sim::Seconds(30);
     int max_vms_per_host = 15;
     std::string site = "hp-palo-alto";
+    /// Period of each host's SLS heartbeat. A host whose record outlives
+    /// the SLS TTL without one is dead to the scheduler (see CrashHost).
     sim::SimDuration sls_heartbeat = sim::Minutes(1);
-    /// Latency/loss model of the simulated network every auctioneer's RPC
-    /// service runs on. Use net::LatencyModel::Lossy(p) plus
-    /// EnableHealthProbes() for fault-tolerance experiments.
-    net::LatencyModel network = net::LatencyModel::Lan();
     grid::PluginConfig plugin;
     /// Durable state engine (src/store). In-memory by default; in durable
     /// mode the Bank ledger, SLS registrations and per-host price
@@ -160,19 +159,16 @@ class GridMarket {
   Result<std::vector<predict::HostPriceStats>> HostPriceStats(
       const std::string& window) const;
 
-  // -- network and fault tolerance --
-  /// The simulated bus carrying the failure detector's pings to each
-  /// host's endpoint (grid::ProbeEndpoint). Inject faults with
-  /// PartitionLink / AddLossWindow / net::ApplyFaultPlan.
-  net::MessageBus& bus() { return *bus_; }
-  /// Start the scheduler's failure detector: periodic RPC pings per
-  /// host, suspect/dead thresholds, job migration off dead hosts.
-  Status EnableHealthProbes(grid::HealthOptions options = {});
-  /// Crash host `index`: the market stops ticking (VMs freeze) and its
-  /// RPC endpoint vanishes, so probes time out and jobs migrate. In
+  // -- fault tolerance --
+  /// Crash host `index`: the market stops ticking (VMs freeze) and the
+  /// host stops heartbeating. Once its SLS record expires, queries drop
+  /// the host and the scheduler migrates its jobs to the survivors. In
   /// durable mode the host's in-memory price window and window statistics
-  /// are lost too — RestartHost replays them from the host's journal.
+  /// are lost too. FailedPrecondition when the host is already down.
   Status CrashHost(std::size_t index);
+  /// Bring a crashed host back: replay its price journal (durable mode),
+  /// restart its market, and heartbeat again at once, so it is healthy
+  /// and schedulable immediately.
   Status RestartHost(std::size_t index);
   /// Crash the Bank process: the in-memory ledger is wiped and every
   /// bank call fails Unavailable until RestartBank() replays the WAL.
@@ -208,9 +204,10 @@ class GridMarket {
   Result<bank::federation::ReconciliationReport> Reconcile();
   /// Per-shard federation table + last reconciliation status.
   std::string FederationMonitor() const;
+  /// Every host's liveness, read from its SLS record's age.
   std::vector<grid::HostHealthInfo> HostHealthReport() const;
-  /// Health + bus-statistics rendering (companion to Monitor()).
-  std::string NetMonitor() const;
+  /// The health table (companion to Monitor()).
+  std::string HealthMonitor() const;
   /// Per-store durability counters (appends, snapshots, recoveries).
   std::string StorageMonitor() const;
   /// The durable stores' counters, one row per store (empty when
@@ -225,8 +222,8 @@ class GridMarket {
   /// false.
   telemetry::Telemetry* telemetry() { return telemetry_.get(); }
   const telemetry::Telemetry* telemetry() const { return telemetry_.get(); }
-  /// Pull component-kept totals (bus, scheduler agent, durable stores)
-  /// into the registry and return a fresh snapshot of every metric.
+  /// Pull component-kept totals (durable stores, bank federation) into
+  /// the registry and return a fresh snapshot of every metric.
   /// FailedPrecondition when telemetry is disabled.
   Result<telemetry::MetricsSnapshot> CollectMetrics();
   /// CollectMetrics + dump every metric and trace event as JSONL.
@@ -245,6 +242,8 @@ class GridMarket {
     crypto::DistinguishedName dn;
   };
 
+  /// Host `index`'s heartbeat to the SLS (publishes once right away).
+  std::unique_ptr<market::SlsPublisher> MakePublisher(std::size_t index);
   /// Emit an `name` instant on every live (non-terminal) traced job.
   void InstantOnActiveTraces(const char* name, const std::string& detail);
 
@@ -268,13 +267,9 @@ class GridMarket {
   std::unique_ptr<bank::federation::Reconciler> reconciler_;
   std::unique_ptr<crypto::CertificateAuthority> ca_;
   std::unique_ptr<market::ServiceLocationService> sls_;
-  // Declared before everything that registers bus endpoints (the ping
-  // servers, the plugin's probe client) so it is destroyed after them.
-  std::unique_ptr<net::MessageBus> bus_;
   std::vector<std::unique_ptr<host::PhysicalHost>> hosts_;
   std::vector<std::unique_ptr<market::Auctioneer>> auctioneers_;
-  // One per host at grid::ProbeEndpoint, answering only "ping".
-  std::vector<std::unique_ptr<net::RpcServer>> ping_servers_;
+  // One per host; null while the host is crashed.
   std::vector<std::unique_ptr<market::SlsPublisher>> publishers_;
   std::unique_ptr<grid::TokenAuthorizer> authorizer_;
   std::unique_ptr<grid::TycoonSchedulerPlugin> plugin_;

@@ -63,7 +63,7 @@ struct JobRecord {
   std::vector<std::string> hosts_used;
 
   /// Causal trace id (telemetry); 0 when telemetry is off. Minted at
-  /// submission and carried through every RPC and lifecycle transition.
+  /// submission and carried through every lifecycle transition.
   telemetry::TraceId trace = 0;
 
   /// Completed sub-jobs so far.

@@ -52,58 +52,15 @@ std::string RenderJobTable(const std::vector<const JobRecord*>& jobs,
 }
 
 std::string RenderHealthTable(const std::vector<HostHealthInfo>& health) {
-  std::string out = StrFormat("%-10s %-8s %6s %14s\n", "HOST", "HEALTH",
-                              "FAILS", "LAST-OK");
+  std::string out =
+      StrFormat("%-10s %-8s %14s\n", "HOST", "HEALTH", "LAST-HEARTBEAT");
   for (const HostHealthInfo& info : health) {
-    out += StrFormat("%-10s %-8s %6d %14s\n", info.host_id.c_str(),
+    out += StrFormat("%-10s %-8s %14s\n", info.host_id.c_str(),
                      HostHealthStateName(info.state),
-                     info.consecutive_failures,
-                     info.last_ok >= 0 ? sim::FormatTime(info.last_ok).c_str()
-                                       : "-");
+                     info.last_heartbeat >= 0
+                         ? sim::FormatTime(info.last_heartbeat).c_str()
+                         : "-");
   }
-  return out;
-}
-
-void MirrorNetStats(const net::BusStats& bus,
-                    const TycoonSchedulerPlugin* plugin,
-                    telemetry::MetricsRegistry& registry) {
-  registry.GetCounter("net.bus.sent")->Set(bus.sent);
-  registry.GetCounter("net.bus.delivered")->Set(bus.delivered);
-  registry.GetCounter("net.bus.dropped")->Set(bus.dropped);
-  registry.GetCounter("net.bus.undeliverable")->Set(bus.undeliverable);
-  registry.GetCounter("net.bus.in_flight")->Set(bus.in_flight);
-  registry.GetCounter("net.bus.bytes_sent")->Set(bus.bytes_sent);
-  registry.GetCounter("net.bus.bytes_dropped")->Set(bus.bytes_dropped);
-  if (plugin == nullptr) return;
-  registry.GetCounter("grid.agent.probes")->Set(plugin->probes_sent());
-  registry.GetCounter("grid.agent.probe_failures")
-      ->Set(plugin->probe_failures());
-  registry.GetCounter("grid.agent.migrations")->Set(plugin->migrations());
-  if (const net::RpcClient* rpc = plugin->probe_rpc()) {
-    registry.GetCounter("grid.agent.rpc_retries")->Set(rpc->retries());
-    registry.GetCounter("grid.agent.rpc_timeouts")->Set(rpc->timeouts());
-  }
-}
-
-std::string RenderNetTable(const net::BusStats& bus,
-                           const TycoonSchedulerPlugin* plugin) {
-  const auto u = [](std::uint64_t v) {
-    return static_cast<unsigned long long>(v);
-  };
-  std::string out = StrFormat(
-      "bus: sent=%llu delivered=%llu dropped=%llu undeliverable=%llu "
-      "in_flight=%llu bytes_sent=%llu bytes_dropped=%llu\n",
-      u(bus.sent), u(bus.delivered), u(bus.dropped), u(bus.undeliverable),
-      u(bus.in_flight), u(bus.bytes_sent), u(bus.bytes_dropped));
-  if (plugin == nullptr) return out;
-  out += StrFormat("agent: probes=%llu probe_failures=%llu migrations=%llu",
-                   u(plugin->probes_sent()), u(plugin->probe_failures()),
-                   u(plugin->migrations()));
-  if (const net::RpcClient* rpc = plugin->probe_rpc()) {
-    out += StrFormat(" rpc_retries=%llu rpc_timeouts=%llu", u(rpc->retries()),
-                     u(rpc->timeouts()));
-  }
-  out += "\n";
   return out;
 }
 

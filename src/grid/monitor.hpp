@@ -10,7 +10,6 @@
 #include "grid/job.hpp"
 #include "grid/plugin.hpp"
 #include "market/auctioneer.hpp"
-#include "net/bus.hpp"
 #include "sim/kernel.hpp"
 #include "store/store.hpp"
 #include "telemetry/metrics.hpp"
@@ -26,23 +25,12 @@ std::string RenderClusterTable(
 std::string RenderJobTable(const std::vector<const JobRecord*>& jobs,
                            sim::SimTime now);
 
-/// Failure-detector verdicts: "host  health  fails  last-ok" table.
+/// Liveness verdicts: "host  health  last-heartbeat" table.
 std::string RenderHealthTable(const std::vector<HostHealthInfo>& health);
 
 // Each table renders from the structs its component keeps. The Mirror*
 // functions copy the same structs into a metrics registry under stable
 // names; GridMarket::CollectMetrics pulls through them.
-
-/// Bus fault/robustness counters, plus the scheduler agent's probe line
-/// when `plugin` is non-null.
-std::string RenderNetTable(const net::BusStats& bus,
-                           const TycoonSchedulerPlugin* plugin = nullptr);
-
-/// Mirror the bus (and, when non-null, the scheduler agent's probe)
-/// counters into `registry` as "net.bus.*" and "grid.agent.*".
-void MirrorNetStats(const net::BusStats& bus,
-                    const TycoonSchedulerPlugin* plugin,
-                    telemetry::MetricsRegistry& registry);
 
 /// One durable store's counters, labeled with the component it backs.
 struct StoreRow {

@@ -24,12 +24,15 @@ TycoonSchedulerPlugin::TycoonSchedulerPlugin(
       config_(config) {}
 
 TycoonSchedulerPlugin::~TycoonSchedulerPlugin() {
-  if (probe_timer_.valid()) kernel_.Cancel(probe_timer_);
+  if (liveness_timer_.valid()) kernel_.Cancel(liveness_timer_);
 }
 
 void TycoonSchedulerPlugin::AttachTelemetry(telemetry::Telemetry* telemetry) {
   telemetry_ = telemetry;
-  if (probe_rpc_) probe_rpc_->AttachTelemetry(telemetry);
+  migrations_counter_ =
+      telemetry != nullptr
+          ? telemetry->metrics().GetCounter("grid.agent.migrations")
+          : nullptr;
 }
 
 void TycoonSchedulerPlugin::EndOpenJobSpans(ActiveJob& job,
@@ -57,77 +60,53 @@ Status TycoonSchedulerPlugin::RegisterAuctioneer(
   AuctioneerEntry entry;
   entry.auctioneer = &auctioneer;
   entry.bank_account = bank_account;
-  entry.health.host_id = host_id;
   auctioneers_.emplace(host_id, std::move(entry));
   return Status::Ok();
 }
 
-Status TycoonSchedulerPlugin::EnableHealthProbes(net::MessageBus& bus,
-                                                 HealthOptions options) {
-  if (probe_rpc_) return Status::FailedPrecondition("probes already enabled");
-  GM_ASSERT(options.probe_attempts >= 1 && options.suspect_after >= 1 &&
-                options.dead_after >= options.suspect_after,
-            "inconsistent health options");
-  health_options_ = options;
-  probe_rpc_ = std::make_unique<net::RpcClient>(bus, "scheduler-agent/probe");
-  if (telemetry_ != nullptr) probe_rpc_->AttachTelemetry(telemetry_);
-  probe_timer_ = kernel_.ScheduleEvery(health_options_.probe_period,
-                                       health_options_.probe_period,
-                                       [this] { ProbeAll(); });
-  return Status::Ok();
+HostHealthInfo TycoonSchedulerPlugin::HealthOf(
+    const std::string& host_id) const {
+  HostHealthInfo info;
+  info.host_id = host_id;
+  // Lookup fails once the record expired or was removed.
+  const auto record = sls_.Lookup(host_id);
+  if (!record.ok()) {
+    info.state = HostHealthState::kDead;
+    return info;
+  }
+  info.last_heartbeat = record->updated_at;
+  if (kernel_.now() - record->updated_at > sls_.ttl() / 2)
+    info.state = HostHealthState::kSuspect;
+  return info;
 }
 
-void TycoonSchedulerPlugin::ProbeAll() {
-  net::CallOptions call;
-  call.timeout = health_options_.probe_timeout;
-  call.max_attempts = health_options_.probe_attempts;
-  call.initial_backoff = health_options_.probe_timeout / 4;
-  for (auto& [host_id, entry] : auctioneers_) {
-    (void)entry;
-    ++probes_sent_;
-    probe_rpc_->Call(ProbeEndpoint(host_id), "ping", {}, call,
-                     [this, id = host_id](Result<Bytes> response) {
-                       OnProbeResult(id, response.status());
-                     });
+void TycoonSchedulerPlugin::CheckLiveness() {
+  // Look up each host bound to a live job once, however many jobs it
+  // serves; the common case finds no dead host and returns.
+  std::vector<const market::Auctioneer*> bound;
+  for (const auto& [job_id, job] : jobs_) {
+    (void)job_id;
+    if (IsTerminal(job.record.state)) continue;
+    for (const HostBinding& binding : job.hosts)
+      if (!binding.dead) bound.push_back(binding.auctioneer);
   }
-}
-
-void TycoonSchedulerPlugin::OnProbeResult(const std::string& host_id,
-                                          const Status& status) {
-  const auto it = auctioneers_.find(host_id);
-  if (it == auctioneers_.end()) return;
-  HostHealthInfo& health = it->second.health;
-  if (status.ok()) {
-    if (health.state == HostHealthState::kDead) {
-      GM_LOG_INFO << "host " << host_id << " recovered, healthy again";
-    }
-    health.state = HostHealthState::kHealthy;
-    health.consecutive_failures = 0;
-    health.last_ok = kernel_.now();
-    return;
+  std::sort(bound.begin(), bound.end());
+  bound.erase(std::unique(bound.begin(), bound.end()), bound.end());
+  std::vector<const market::Auctioneer*> dead;
+  for (const market::Auctioneer* auctioneer : bound) {
+    if (HostHealth(auctioneer->physical_host().id()) == HostHealthState::kDead)
+      dead.push_back(auctioneer);
   }
-  ++probe_failures_;
-  ++health.consecutive_failures;
-  if (health.state == HostHealthState::kDead) return;
-  if (health.consecutive_failures >= health_options_.dead_after) {
-    MarkHostDead(it->second);
-  } else if (health.consecutive_failures >= health_options_.suspect_after) {
-    health.state = HostHealthState::kSuspect;
-    GM_LOG_WARN << "host " << host_id << " suspect after "
-                << health.consecutive_failures << " failed probes";
-  }
-}
-
-void TycoonSchedulerPlugin::MarkHostDead(AuctioneerEntry& entry) {
-  entry.health.state = HostHealthState::kDead;
-  const std::string& host_id = entry.health.host_id;
-  GM_LOG_WARN << "host " << host_id << " declared dead after "
-              << entry.health.consecutive_failures
-              << " consecutive probe failures";
+  if (dead.empty()) return;
+  // Migrate in job and binding order, so runs stay deterministic.
   for (auto& [job_id, job] : jobs_) {
     (void)job_id;
     if (IsTerminal(job.record.state)) continue;
-    MigrateJobOffHost(job, host_id);
+    for (const HostBinding& binding : job.hosts) {
+      if (!binding.dead &&
+          std::binary_search(dead.begin(), dead.end(), binding.auctioneer))
+        MigrateJobOffHost(job, binding.auctioneer->physical_host().id());
+    }
   }
 }
 
@@ -143,6 +122,7 @@ void TycoonSchedulerPlugin::MigrateJobOffHost(ActiveJob& job,
     binding.dead = true;
     touched = true;
     ++migrations_;
+    if (migrations_counter_ != nullptr) migrations_counter_->Inc();
     // Reclaim the host account through the bank escrow mirror. The
     // auctioneer's books are co-located bookkeeping for the deposit held in
     // `bank_account`, so the broker can recover unspent funds even though
@@ -296,6 +276,13 @@ Result<std::uint64_t> TycoonSchedulerPlugin::Launch(JobRecord job) {
     Finalize(active, JobState::kFailed);
     return id;  // the job exists, in FAILED state, funds refunded
   }
+  // Liveness checks start with the first scheduled job and run once per
+  // SLS TTL, so a crashed host's jobs move off it within two TTLs of its
+  // last heartbeat.
+  if (!liveness_timer_.valid()) {
+    liveness_timer_ = kernel_.ScheduleEvery(sls_.ttl(), sls_.ttl(),
+                                            [this] { CheckLiveness(); });
+  }
   // Deadline watchdog.
   active.expiry = kernel_.ScheduleAt(active.record.deadline, [this, id] {
     const auto it = jobs_.find(id);
@@ -330,16 +317,14 @@ Status TycoonSchedulerPlugin::Schedule(ActiveJob& job) {
   query.require_vm_slot = true;
   query.limit = static_cast<std::size_t>(record.description.count) *
                 config_.candidate_multiplier;
+  // Query already drops hosts whose records expired (dead hosts); keep
+  // only those whose auctioneer we can reach.
   std::vector<market::HostRecord> candidates = sls_.Query(query);
-  // Only hosts whose auctioneer we can reach and that the failure detector
-  // has not declared dead.
   candidates.erase(
       std::remove_if(candidates.begin(), candidates.end(),
                      [this](const market::HostRecord& record) {
-                       const auto it = auctioneers_.find(record.host_id);
-                       return it == auctioneers_.end() ||
-                              it->second.health.state ==
-                                  HostHealthState::kDead;
+                       return auctioneers_.find(record.host_id) ==
+                              auctioneers_.end();
                      }),
       candidates.end());
   if (candidates.empty())
@@ -900,17 +885,15 @@ std::vector<HostHealthInfo> TycoonSchedulerPlugin::HostHealthReport() const {
   std::vector<HostHealthInfo> out;
   out.reserve(auctioneers_.size());
   for (const auto& [host_id, entry] : auctioneers_) {
-    (void)host_id;
-    out.push_back(entry.health);
+    (void)entry;
+    out.push_back(HealthOf(host_id));
   }
   return out;
 }
 
 HostHealthState TycoonSchedulerPlugin::HostHealth(
     const std::string& host_id) const {
-  const auto it = auctioneers_.find(host_id);
-  return it == auctioneers_.end() ? HostHealthState::kHealthy
-                                  : it->second.health.state;
+  return HealthOf(host_id).state;
 }
 
 std::vector<const JobRecord*> TycoonSchedulerPlugin::jobs() const {

@@ -26,20 +26,19 @@
 #include <string>
 #include <vector>
 
-#include <memory>
-
 #include "bank/bank.hpp"
 #include "bestresponse/best_response.hpp"
 #include "grid/job.hpp"
 #include "host/provision.hpp"
 #include "market/sls.hpp"
-#include "net/rpc.hpp"
 #include "sim/kernel.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace gm::grid {
 
-/// Failure-detector verdict for a registered auctioneer, derived from the
-/// outcomes of periodic RPC probes over the message bus.
+/// Liveness verdict for a registered auctioneer, read from the age of its
+/// SLS record (market/sls.hpp) when asked: the directory's heartbeat soft
+/// state is the only failure detector.
 enum class HostHealthState : std::uint8_t { kHealthy, kSuspect, kDead };
 
 const char* HostHealthStateName(HostHealthState state);
@@ -47,27 +46,9 @@ const char* HostHealthStateName(HostHealthState state);
 struct HostHealthInfo {
   std::string host_id;
   HostHealthState state = HostHealthState::kHealthy;
-  int consecutive_failures = 0;  // failed probe rounds in a row
-  sim::SimTime last_ok = -1;     // last successful probe
+  /// The live record's last heartbeat; -1 once it expired or was removed.
+  sim::SimTime last_heartbeat = -1;
 };
-
-struct HealthOptions {
-  /// How often every registered auctioneer endpoint is pinged.
-  sim::SimDuration probe_period = sim::Seconds(30);
-  /// Per-attempt probe timeout; a probe round retries with backoff before
-  /// counting as failed, so plain message loss does not raise suspicion.
-  sim::SimDuration probe_timeout = sim::Seconds(2);
-  int probe_attempts = 3;
-  /// Consecutive failed rounds before a host turns suspect / dead.
-  int suspect_after = 2;
-  int dead_after = 3;
-};
-
-/// The bus endpoint at which the failure detector pings a host: whoever
-/// runs the host's market answers "ping" there.
-inline std::string ProbeEndpoint(const std::string& host_id) {
-  return "auctioneer/" + host_id;
-}
 
 struct PluginConfig {
   /// cpuTime is defined against this reference CPU (cycles/s).
@@ -116,26 +97,19 @@ class TycoonSchedulerPlugin {
   Status RegisterAuctioneer(market::Auctioneer& auctioneer,
                             const std::string& bank_account);
 
-  /// Graceful degradation: start probing every registered auctioneer's RPC
-  /// endpoint over `bus`. Hosts that miss `suspect_after` consecutive probe
-  /// rounds are marked suspect, after `dead_after` they are dead: active
-  /// jobs migrate off them — host accounts are reclaimed through the bank
-  /// escrow mirror, incomplete chunks requeue, and the Best Response solver
-  /// re-runs over the surviving hosts. Dead hosts are excluded from new
-  /// scheduling until a probe succeeds again.
-  Status EnableHealthProbes(net::MessageBus& bus, HealthOptions options = {});
-
+  /// Liveness of every registered auctioneer, from its SLS record's age:
+  /// suspect once the record is half a TTL old (missed heartbeats), dead
+  /// once it expired or is gone. A dead host is out of new scheduling
+  /// already, since SLS queries drop expired records. While a job runs,
+  /// a liveness check every TTL migrates it off each dead host it is
+  /// bound to: the host account is reclaimed through the bank escrow
+  /// mirror, incomplete chunks requeue, and Best Response re-runs over
+  /// the surviving hosts.
   std::vector<HostHealthInfo> HostHealthReport() const;
-  /// Health of one host; kHealthy for hosts never probed.
   HostHealthState HostHealth(const std::string& host_id) const;
 
-  std::uint64_t probes_sent() const { return probes_sent_; }
-  std::uint64_t probe_failures() const { return probe_failures_; }
   /// Job-host bindings migrated off dead hosts.
   std::uint64_t migrations() const { return migrations_; }
-  /// Retry/timeout counters of the probe RPC client (null until probing
-  /// is enabled); rendered by the grid monitor.
-  const net::RpcClient* probe_rpc() const { return probe_rpc_.get(); }
 
   /// Launch an authorized job (state kAuthorized, budget in
   /// job.account). Returns the job id. Scheduling begins immediately.
@@ -156,9 +130,8 @@ class TycoonSchedulerPlugin {
 
   /// Emit lifecycle spans (bid, stage-in, execute, stage-out, refund) and
   /// instants (boost, migrate, chunk-complete) for traced jobs, tag host
-  /// market accounts with the job trace, and instrument the probe RPC
-  /// client. nullptr detaches. Safe to call before or after
-  /// EnableHealthProbes.
+  /// market accounts with the job trace, and count migrations into
+  /// "grid.agent.migrations". nullptr detaches.
   void AttachTelemetry(telemetry::Telemetry* telemetry);
 
  private:
@@ -172,7 +145,6 @@ class TycoonSchedulerPlugin {
   struct AuctioneerEntry {
     market::Auctioneer* auctioneer = nullptr;
     std::string bank_account;
-    HostHealthInfo health;
   };
   struct ActiveJob {
     JobRecord record;
@@ -190,9 +162,10 @@ class TycoonSchedulerPlugin {
     telemetry::SpanId stage_out_span = 0;
   };
 
-  void ProbeAll();
-  void OnProbeResult(const std::string& host_id, const Status& status);
-  void MarkHostDead(AuctioneerEntry& entry);
+  HostHealthInfo HealthOf(const std::string& host_id) const;
+  /// Periodic liveness step: migrate every live job off each dead host it
+  /// is bound to.
+  void CheckLiveness();
   /// Detach the job from a dead host: reclaim the host account through the
   /// bank mirror, requeue its incomplete chunks, then re-run Best Response
   /// over the surviving hosts and redistribute the reclaimed funds.
@@ -230,14 +203,11 @@ class TycoonSchedulerPlugin {
   std::uint64_t next_job_id_ = 1;
   FinishedCallback on_finished_;
 
-  // Failure detector (EnableHealthProbes).
-  HealthOptions health_options_;
-  std::unique_ptr<net::RpcClient> probe_rpc_;
-  sim::EventHandle probe_timer_;
-  std::uint64_t probes_sent_ = 0;
-  std::uint64_t probe_failures_ = 0;
+  // Started by the first Launch, so it never runs before a job exists.
+  sim::EventHandle liveness_timer_;
   std::uint64_t migrations_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
+  telemetry::Counter* migrations_counter_ = nullptr;
 };
 
 }  // namespace gm::grid

@@ -60,6 +60,8 @@ class ServiceLocationService : public store::Recoverable {
   /// Matching, unexpired records sorted by ascending spot price.
   std::vector<HostRecord> Query(const HostQuery& query) const;
   std::size_t live_count() const;
+  /// A record is live while it is at most this old.
+  sim::SimDuration ttl() const { return ttl_; }
 
   // -- durability --
   /// Journal every subsequent Publish/Remove into `s` (non-owning;

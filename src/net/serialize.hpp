@@ -1,10 +1,11 @@
-// Byte-level message serialization.
+// Byte-level record serialization.
 //
-// A compact, explicit wire format for the simulated Grid network:
-// fixed-width little-endian integers, LEB128-style varints, and
-// length-prefixed strings/bytes. Readers validate bounds and fail with
-// Status instead of reading garbage — exactly what a real middleware
-// marshalling layer must do.
+// A compact, explicit wire format for the durable journals (the bank WAL,
+// the SLS journal, price histories, federation shards) and their
+// snapshots: fixed-width little-endian integers, LEB128-style varints,
+// and length-prefixed strings/bytes. Readers validate bounds and fail
+// with Status instead of reading garbage, so a torn or corrupt record is
+// an error, never a silently wrong value.
 #pragma once
 
 #include <cstdint>

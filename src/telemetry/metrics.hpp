@@ -2,7 +2,7 @@
 // latency histograms.
 //
 // Designed for the hot paths of a multi-day simulated run (millions of
-// auction ticks and bus deliveries): recording into a counter is one
+// auction ticks and ledger transfers): recording into a counter is one
 // relaxed atomic add, recording into a histogram is a bit_width plus two
 // adds under the histogram's own mutex. Metric objects are owned by the
 // registry in node-based maps, so pointers returned by Get* stay valid
@@ -199,7 +199,7 @@ struct MetricsSnapshot {
 
 /// Named metric store. Get* creates on first use and always returns the
 /// same object for a name; names are dot-delimited paths by convention
-/// ("net.bus.delivered", "store.bank.append_wall_ns"). Lookups take the
+/// ("grid.agent.migrations", "store.bank.append_wall_ns"). Lookups take the
 /// registry mutex; the returned pointers are safe to record through from
 /// any thread without it.
 class MetricsRegistry {

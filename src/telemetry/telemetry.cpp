@@ -51,7 +51,6 @@ std::string SpanToJson(const SpanEvent& event) {
        << ",\"detail\":\"" << JsonEscape(event.detail) << "\""
        << ",\"start_us\":" << event.start
        << ",\"end_us\":" << event.end
-       << ",\"attempts\":" << event.attempts
        << ",\"status\":\"" << SpanStatusName(event.status) << "\""
        << ",\"instant\":" << (event.instant ? "true" : "false")
        << ",\"value\":" << JsonNumber(event.value) << "}";

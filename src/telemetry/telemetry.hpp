@@ -12,7 +12,7 @@
 //   {"kind":"histogram","name":N,"count":C,"sum":S,"min":m,"max":M,
 //    "p50":..,"p90":..,"p99":..}
 //   {"kind":"span","trace":T,"id":I,"name":N,"detail":D,"start_us":S,
-//    "end_us":E,"attempts":A,"status":"ok|error|open","instant":B,
+//    "end_us":E,"status":"ok|error|open","instant":B,
 //    "value":V}
 #pragma once
 

@@ -56,12 +56,6 @@ SpanId Tracer::BeginSpan(TraceId trace, std::string name, std::string detail,
   return ring_[slot].id;
 }
 
-void Tracer::AddAttempt(SpanId span) {
-  gm::MutexLock lock(&mu_);
-  SpanEvent* event = Find(span);
-  if (event != nullptr) ++event->attempts;
-}
-
 void Tracer::EndSpan(SpanId span, sim::SimTime now, SpanStatus status) {
   gm::MutexLock lock(&mu_);
   SpanEvent* event = Find(span);

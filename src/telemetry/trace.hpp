@@ -1,12 +1,12 @@
 // Causal trace spans over simulated time.
 //
 // A TraceId is minted when a job enters the system and rides along every
-// message and lifecycle transition the job causes (the Envelope carries
-// it on the wire). Components open spans against the trace — submit,
-// fund-verify, bid, execute, stage-out, refund — and mark point events
-// (auction ticks, crashes, migrations) as instants. A retried RPC is ONE
-// span whose attempt counter grows; the dedup cache on the server keeps
-// the effect single too, so a trace never double-counts work.
+// lifecycle transition the job causes: the job record carries it into the
+// broker, the scheduler plugin and the host market accounts. Components
+// open spans against the trace — submit, fund-verify, bid, execute,
+// stage-out, refund — and mark point events (auction ticks, crashes,
+// migrations) as instants. Each lifecycle phase is one span, so a trace
+// never double-counts work.
 //
 // Events live in a bounded ring buffer keyed by sim-time: recording is
 // O(1), memory is fixed, and the oldest events fall off first. Ending a
@@ -34,11 +34,10 @@ const char* SpanStatusName(SpanStatus status);
 struct SpanEvent {
   SpanId id = 0;
   TraceId trace = 0;
-  std::string name;    // "submit", "rpc:Transfer", "auction-tick", ...
+  std::string name;    // "submit", "refund", "auction-tick", ...
   std::string detail;  // free-form context ("host=h3", "job=7")
   sim::SimTime start = 0;
   sim::SimTime end = -1;  // -1 while the span is open; == start for instants
-  std::uint32_t attempts = 1;
   SpanStatus status = SpanStatus::kOpen;
   bool instant = false;
   double value = 0.0;  // optional numeric payload (price, dollars, count)
@@ -59,14 +58,11 @@ class Tracer {
     return next_trace_++;
   }
 
-  /// Opens a span; returns its id for AddAttempt/EndSpan. Spans against
+  /// Opens a span; returns its id for EndSpan. Spans against
   /// trace 0 ("no trace") are still recorded — they show up in the
   /// journal but belong to no causal chain.
   SpanId BeginSpan(TraceId trace, std::string name, std::string detail,
                    sim::SimTime now);
-  /// A retry of the same logical operation: bumps the span's attempt
-  /// counter instead of opening a second span.
-  void AddAttempt(SpanId span);
   void EndSpan(SpanId span, sim::SimTime now,
                SpanStatus status = SpanStatus::kOk);
 

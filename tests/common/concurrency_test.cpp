@@ -19,7 +19,7 @@ TEST(MutexTest, LockUnlockTracksHeldCount) {
 }
 
 TEST(MutexTest, AscendingRankOrderPasses) {
-  Mutex low("test.low", lockrank::kBus);
+  Mutex low("test.low", lockrank::kSls);
   Mutex mid("test.mid", lockrank::kBank);
   Mutex high("test.high", lockrank::kLogger);
   MutexLock a(&low);
@@ -44,12 +44,12 @@ TEST(MutexRankDeathTest, InversionAbortsWithBothLockNames) {
   EXPECT_DEATH(
       {
         Mutex bank("death.bank.ledger", lockrank::kBank);
-        Mutex bus("death.net.bus", lockrank::kBus);
+        Mutex sls("death.market.sls", lockrank::kSls);
         MutexLock first(&bank);
         // Deliberate inversion. gmlint: allow(lock-order)
-        MutexLock second(&bus);  // kBus < kBank
+        MutexLock second(&sls);  // kSls < kBank
       },
-      "death.net.bus.*death.bank.ledger");
+      "death.market.sls.*death.bank.ledger");
 }
 
 TEST(MutexRankDeathTest, EqualRankAbortsToo) {
@@ -72,7 +72,7 @@ TEST(MutexRankTest, DisabledCheckingAllowsInversion) {
   EXPECT_TRUE(was);  // checking defaults to on
   {
     Mutex high("test.high", lockrank::kBank);
-    Mutex low("test.low", lockrank::kBus);
+    Mutex low("test.low", lockrank::kSls);
     MutexLock first(&high);
     // Deliberate inversion, tolerated while checking is disabled.
     // gmlint: allow(lock-order)
@@ -154,7 +154,7 @@ TEST(ThreadPoolTest, SubmitAndWaitUnderAComponentLock) {
   // below the caller's.
   ThreadPool pool(3);
   Mutex outer("test.reconciler", lockrank::kBankReconciler);
-  Mutex inner("test.bus", lockrank::kBus);
+  Mutex inner("test.sls", lockrank::kSls);
   std::atomic<int> ran{0};
   {
     MutexLock hold(&outer);
@@ -193,8 +193,8 @@ TEST(LockRankTableTest, AscendingAndMatchingConstants) {
         << table[i - 1].name << " vs " << table[i].name;
   }
   // Endpoints pin the table to the lockrank constants.
-  EXPECT_STREQ(table[0].name, "kRpcClient");
-  EXPECT_EQ(table[0].rank, lockrank::kRpcClient);
+  EXPECT_STREQ(table[0].name, "kSls");
+  EXPECT_EQ(table[0].rank, lockrank::kSls);
   EXPECT_STREQ(table[size - 1].name, "kLogger");
   EXPECT_EQ(table[size - 1].rank, lockrank::kLogger);
 }

@@ -141,6 +141,43 @@ TEST(GridMarketDurabilityTest, WarmBootRestoresLedgerAndDirectory) {
   EXPECT_EQ((*grid.Job(*job_id))->state, grid::JobState::kFinished);
 }
 
+// A warm boot fast-forwards the clock past the journals before any host
+// heartbeats again. The recovered SLS records are as old as the last
+// process left them, so liveness must never act in that gap.
+TEST(GridMarketDurabilityTest, WarmBootNeverMarksAHostDead) {
+  const fs::path dir = FreshDir("warmhealth");
+  {
+    GridMarket grid(DurableConfig(dir));
+    ASSERT_TRUE(grid.RegisterUser("alice", Money::Dollars(100.0)).ok());
+    const auto job_id =
+        grid.SubmitJob("alice", SmallJob(2, 8, /*cpu_minutes=*/30.0),
+                       Money::Dollars(10.0));
+    ASSERT_TRUE(job_id.ok()) << job_id.status().ToString();
+    grid.RunFor(sim::Minutes(20));
+    // Shut down mid-job.
+    ASSERT_EQ((*grid.Job(*job_id))->state, grid::JobState::kRunning);
+  }
+  GridMarket grid(DurableConfig(dir));
+  EXPECT_GE(grid.now(), sim::Minutes(20));
+  for (const grid::HostHealthInfo& info : grid.HostHealthReport()) {
+    EXPECT_EQ(info.state, grid::HostHealthState::kHealthy) << info.host_id;
+    EXPECT_EQ(info.last_heartbeat, grid.now()) << info.host_id;
+  }
+  EXPECT_EQ(grid.sls().live_count(), grid.host_count());
+
+  // A job on the warm grid runs to the end without a single migration.
+  ASSERT_TRUE(grid.RegisterUser("bob", Money::Dollars(100.0)).ok());
+  const auto job_id =
+      grid.SubmitJob("bob", SmallJob(2, 4), Money::Dollars(10.0));
+  ASSERT_TRUE(job_id.ok()) << job_id.status().ToString();
+  grid.RunFor(sim::Hours(1));
+  EXPECT_EQ((*grid.Job(*job_id))->state, grid::JobState::kFinished);
+  EXPECT_EQ(grid.broker().plugin().migrations(), 0u);
+  for (const grid::HostHealthInfo& info : grid.HostHealthReport())
+    EXPECT_EQ(info.state, grid::HostHealthState::kHealthy) << info.host_id;
+  EXPECT_TRUE(grid.CheckInvariants().ok());
+}
+
 TEST(GridMarketDurabilityTest, StorageMonitorRendersPerStoreCounters) {
   const fs::path dir = FreshDir("monitor");
   GridMarket grid(DurableConfig(dir));

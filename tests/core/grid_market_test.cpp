@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <set>
 #include <string>
 
 namespace gm {
@@ -157,39 +157,90 @@ TEST(GridMarketTest, DeterministicAcrossRuns) {
   EXPECT_EQ(first, second);
 }
 
-// The failure detector pings the endpoints GridMarket serves for its hosts,
-// so a crash shows as exactly that host going dead and a restart brings it
-// back.
-TEST(GridMarketTest, ProbesReachEveryHostAndCrashHostGoesDead) {
-  GridMarket grid(SmallConfig());
-  ASSERT_TRUE(grid.EnableHealthProbes().ok());
-  const auto states = [&grid] {
-    std::map<std::string, grid::HostHealthState> by_host;
-    for (const grid::HostHealthInfo& info : grid.HostHealthReport())
-      by_host[info.host_id] = info.state;
-    return by_host;
+// A crashed host stops heartbeating, and its SLS record's age is the only
+// failure detector: once the TTL lapses the host leaves the directory,
+// new jobs never fund it, and the jobs it ran migrate to the survivors.
+TEST(GridMarketTest, CrashedHostAgesOutOfTheDirectoryAndJobsMigrate) {
+  GridMarket::Config config = SmallConfig();
+  config.bank_shards = 2;
+  GridMarket grid(config);
+  ASSERT_TRUE(grid.RegisterUser("alice", Money::Dollars(100.0)).ok());
+  const auto in_directory = [&grid](const std::string& host_id) {
+    for (const market::HostRecord& record : grid.sls().Query({}))
+      if (record.host_id == host_id) return true;
+    return false;
   };
-  const std::string crashed = grid.auctioneer(1).physical_host().id();
 
+  // 8 chunks of 2 cpu-minutes on 2 hosts: still running at the crash.
+  const Money budget = Money::Dollars(10.0);
+  const auto running = grid.SubmitJob("alice", SmallJob(2, 8, 2.0), budget);
+  ASSERT_TRUE(running.ok()) << running.status().ToString();
   grid.RunFor(sim::Minutes(2));
-  auto report = states();
-  ASSERT_EQ(report.size(), 4u);
-  for (const auto& [host_id, state] : report)
-    EXPECT_EQ(state, grid::HostHealthState::kHealthy) << host_id;
+  const grid::JobRecord* first = *grid.Job(*running);
+  ASSERT_EQ(first->state, grid::JobState::kRunning) << first->failure;
+  ASSERT_EQ(first->hosts_used.size(), 2u);
+  const std::string victim = first->hosts_used[0];
+  std::size_t victim_index = grid.host_count();
+  for (std::size_t i = 0; i < grid.host_count(); ++i)
+    if (grid.auctioneer(i).physical_host().id() == victim) victim_index = i;
+  std::set<int> done_before_crash;
+  for (const grid::SubJobRecord& subjob : first->subjobs)
+    if (subjob.completed) done_before_crash.insert(subjob.ordinal);
 
-  ASSERT_TRUE(grid.CrashHost(1).ok());
-  grid.RunFor(sim::Minutes(3));
-  report = states();
-  for (const auto& [host_id, state] : report) {
-    EXPECT_EQ(state, host_id == crashed ? grid::HostHealthState::kDead
-                                        : grid::HostHealthState::kHealthy)
-        << host_id;
+  ASSERT_TRUE(grid.CrashHost(victim_index).ok());
+  EXPECT_EQ(grid.CrashHost(victim_index).code(),
+            StatusCode::kFailedPrecondition);
+  // Within the 5 min TTL the record still stands.
+  grid.RunFor(sim::Minutes(4));
+  EXPECT_TRUE(in_directory(victim));
+  // Past it, the host is gone from queries and dead to the scheduler,
+  // whose next liveness check has moved the running job off it.
+  grid.RunFor(sim::Minutes(6));
+  EXPECT_FALSE(in_directory(victim));
+  EXPECT_EQ(grid.sls().live_count(), grid.host_count() - 1);
+  EXPECT_EQ(grid.broker().plugin().HostHealth(victim),
+            grid::HostHealthState::kDead);
+  EXPECT_EQ(grid.broker().plugin().migrations(), 1u);
+
+  // A job that asks for every host neither bids on nor funds the dead one.
+  const auto later = grid.SubmitJob("alice", SmallJob(4, 4), budget);
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  const grid::JobRecord* second = *grid.Job(*later);
+  EXPECT_FALSE(second->hosts_used.empty());
+  for (const std::string& host : second->hosts_used) EXPECT_NE(host, victim);
+  EXPECT_FALSE(grid.auctioneer(victim_index).HasAccount(second->account));
+
+  grid.RunUntil(sim::Hours(2));
+  for (const grid::JobRecord* job : {first, second}) {
+    EXPECT_EQ(job->state, grid::JobState::kFinished) << job->failure;
+    // Every micro-dollar is spent or back in the job's sub-account.
+    EXPECT_EQ(grid.bank().Balance(job->account).value(),
+              job->budget - job->spent);
   }
+  // The chunks the crash interrupted finished on the survivors.
+  for (const grid::SubJobRecord& subjob : first->subjobs) {
+    EXPECT_TRUE(subjob.completed);
+    if (done_before_crash.count(subjob.ordinal) == 0) {
+      EXPECT_NE(subjob.host_id, victim) << "ordinal " << subjob.ordinal;
+    }
+  }
+  EXPECT_FALSE(grid.auctioneer(victim_index).HasAccount(first->account));
 
-  ASSERT_TRUE(grid.RestartHost(1).ok());
-  grid.RunFor(sim::Minutes(1));
-  for (const auto& [host_id, state] : states())
-    EXPECT_EQ(state, grid::HostHealthState::kHealthy) << host_id;
+  // A restart heartbeats at once: healthy and back in the directory.
+  ASSERT_TRUE(grid.RestartHost(victim_index).ok());
+  EXPECT_EQ(grid.RestartHost(victim_index).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(grid.broker().plugin().HostHealth(victim),
+            grid::HostHealthState::kHealthy);
+  EXPECT_TRUE(in_directory(victim));
+  grid.RunFor(sim::Minutes(10));
+  for (const grid::HostHealthInfo& info : grid.HostHealthReport())
+    EXPECT_EQ(info.state, grid::HostHealthState::kHealthy) << info.host_id;
+
+  EXPECT_TRUE(grid.CheckInvariants().ok());
+  const auto report = grid.Reconcile();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->conserved) << report->detail;
 }
 
 }  // namespace

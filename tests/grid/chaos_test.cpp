@@ -1,8 +1,9 @@
 // Chaos tests: the full grid stack (bank + broker + scheduler plugin +
-// auctioneers + RPC health probes) under network faults — message loss,
-// burst-loss windows, and auctioneer crashes mid-run. Jobs must still
-// complete, money must be conserved to the micro-dollar, and the failure
-// detector must report dead hosts while the scheduler re-bids on survivors.
+// auctioneers + SLS heartbeats) under host crashes mid-run. A crashed
+// host stops heartbeating; once its SLS record expires it is dead to the
+// scheduler. Jobs must still complete, money must be conserved to the
+// micro-dollar, and health must follow the record's age while the
+// scheduler re-bids on survivors.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +14,6 @@
 #include "grid/broker.hpp"
 #include "grid/monitor.hpp"
 #include "market/sls.hpp"
-#include "net/fault.hpp"
 
 namespace gm::grid {
 namespace {
@@ -23,8 +23,7 @@ class ChaosTest : public ::testing::Test {
   static constexpr Money kUserFunds = Money::Dollars(1000);
 
   ChaosTest()
-      : bus_(kernel_, net::LatencyModel::Lossy(0.1), 1913),
-        bank_(crypto::TestGroup(), 3),
+      : bank_(crypto::TestGroup(), 3),
         ca_(crypto::DistinguishedName{"SE", "SweGrid", "CA", "Root"},
             crypto::TestGroup(), rng_),
         alice_keys_(crypto::KeyPair::Generate(crypto::TestGroup(), rng_)),
@@ -60,15 +59,7 @@ class ChaosTest : public ::testing::Test {
       auctioneers_.push_back(
           std::make_unique<market::Auctioneer>(*hosts_.back(), kernel_));
       auctioneers_.back()->Start();
-      // Each host answers the failure detector's "ping" at its probe
-      // endpoint on the lossy bus.
-      ping_servers_.push_back(
-          std::make_unique<net::RpcServer>(bus_, ProbeEndpoint(spec.id)));
-      ping_servers_.back()->RegisterMethod(
-          "ping", [](const Bytes&) -> Result<Bytes> { return Bytes{}; });
-      publishers_.push_back(std::make_unique<market::SlsPublisher>(
-          *auctioneers_.back(), sls_, "test-site", kernel_,
-          sim::Seconds(30)));
+      publishers_.push_back(Publisher(*auctioneers_.back()));
       EXPECT_TRUE(plugin_
                       ->RegisterAuctioneer(*auctioneers_.back(),
                                            "auctioneer:" + spec.id)
@@ -76,31 +67,39 @@ class ChaosTest : public ::testing::Test {
     }
   }
 
-  void EnableProbes() {
-    HealthOptions options;
-    options.probe_period = sim::Seconds(10);
-    options.probe_timeout = sim::Seconds(2);
-    options.probe_attempts = 3;
-    options.suspect_after = 2;
-    options.dead_after = 3;
-    ASSERT_TRUE(plugin_->EnableHealthProbes(bus_, options).ok());
+  /// A 30 s heartbeat against the SLS's default 5 min TTL.
+  std::unique_ptr<market::SlsPublisher> Publisher(
+      market::Auctioneer& auctioneer) {
+    return std::make_unique<market::SlsPublisher>(
+        auctioneer, sls_, "test-site", kernel_, sim::Seconds(30));
+  }
+
+  std::size_t IndexOf(const std::string& host_id) const {
+    for (std::size_t i = 0; i < auctioneers_.size(); ++i) {
+      if (auctioneers_[i]->physical_host().id() == host_id) return i;
+    }
+    ADD_FAILURE() << "unknown host " << host_id;
+    return 0;
   }
 
   market::Auctioneer* AuctioneerFor(const std::string& host_id) {
-    for (auto& auctioneer : auctioneers_) {
-      if (auctioneer->physical_host().id() == host_id)
-        return auctioneer.get();
-    }
-    return nullptr;
+    return auctioneers_[IndexOf(host_id)].get();
   }
 
-  /// Host crash: the market stops ticking (VMs freeze) and the RPC
-  /// endpoint vanishes from the bus, so probes start timing out.
+  /// Host crash: the market stops ticking (VMs freeze) and the host
+  /// stops heartbeating, so its SLS record ages out.
   void CrashHost(const std::string& host_id) {
-    market::Auctioneer* auctioneer = AuctioneerFor(host_id);
-    ASSERT_NE(auctioneer, nullptr);
-    auctioneer->Stop();
-    ASSERT_TRUE(bus_.CrashEndpoint(ProbeEndpoint(host_id)).ok());
+    const std::size_t i = IndexOf(host_id);
+    auctioneers_[i]->Stop();
+    publishers_[i].reset();
+  }
+
+  /// Restart: the market ticks again and the new publisher heartbeats at
+  /// once.
+  void RestartHost(const std::string& host_id) {
+    const std::size_t i = IndexOf(host_id);
+    auctioneers_[i]->Start();
+    publishers_[i] = Publisher(*auctioneers_[i]);
   }
 
   crypto::TransferToken PayBroker(Money amount) {
@@ -133,7 +132,6 @@ class ChaosTest : public ::testing::Test {
 
   Rng rng_{77};
   sim::Kernel kernel_;
-  net::MessageBus bus_;
   bank::Bank bank_;
   crypto::CertificateAuthority ca_;
   crypto::KeyPair alice_keys_;
@@ -141,16 +139,14 @@ class ChaosTest : public ::testing::Test {
   market::ServiceLocationService sls_;
   std::vector<std::unique_ptr<host::PhysicalHost>> hosts_;
   std::vector<std::unique_ptr<market::Auctioneer>> auctioneers_;
-  std::vector<std::unique_ptr<net::RpcServer>> ping_servers_;
   std::vector<std::unique_ptr<market::SlsPublisher>> publishers_;
   std::unique_ptr<TokenAuthorizer> authorizer_;
   std::unique_ptr<TycoonSchedulerPlugin> plugin_;
   std::unique_ptr<GridBroker> broker_;
 };
 
-TEST_F(ChaosTest, JobCompletesOnLossyNetworkWithCorrectRefunds) {
+TEST_F(ChaosTest, LiveHostsAreNeverSuspectedAndRefundsAreExact) {
   AddHosts(4);
-  EnableProbes();
   const auto job_id = broker_->Submit(ScanXrsl(2, 4),
                                       PayBroker(Money::Dollars(10)));
   ASSERT_TRUE(job_id.ok()) << job_id.status().ToString();
@@ -160,27 +156,24 @@ TEST_F(ChaosTest, JobCompletesOnLossyNetworkWithCorrectRefunds) {
   ASSERT_TRUE(job.ok());
   EXPECT_EQ((*job)->state, JobState::kFinished) << (*job)->failure;
   EXPECT_TRUE((*job)->AllChunksDone());
-  // Refund accounting holds despite 10% message loss on the probe plane.
   EXPECT_TRUE((*job)->spent.is_positive());
   EXPECT_TRUE((*job)->refunded.is_positive());
   EXPECT_EQ(bank_.Balance((*job)->account).value(),
             Money::Dollars(10) - (*job)->spent);
   EXPECT_TRUE(bank_.CheckInvariants().ok());
 
-  // The failure detector probed through the loss without false verdicts:
-  // retries absorb drops, so no host was ever declared dead.
-  EXPECT_GT(plugin_->probes_sent(), 0u);
-  EXPECT_GT(bus_.stats().dropped, 0u);  // the network really was lossy
+  // Heartbeats keep every record fresh: no host was ever suspected, and
+  // the liveness checks that ran while the job did moved nothing.
   for (const HostHealthInfo& health : plugin_->HostHealthReport()) {
-    EXPECT_NE(health.state, HostHealthState::kDead) << health.host_id;
-    EXPECT_GE(health.last_ok, 0) << health.host_id;
+    EXPECT_EQ(health.state, HostHealthState::kHealthy) << health.host_id;
+    EXPECT_GE(health.last_heartbeat, kernel_.now() - sim::Seconds(30))
+        << health.host_id;
   }
-  EXPECT_TRUE(bus_.stats().Reconciles());
+  EXPECT_EQ(plugin_->migrations(), 0u);
 }
 
 TEST_F(ChaosTest, AuctioneerCrashMidRunMigratesJobToSurvivors) {
   AddHosts(4);
-  EnableProbes();
   // 8 chunks of 2 cpu-minutes on 2 hosts: comfortably still running when
   // the crash hits at t = 3 min.
   const Money budget = Money::Dollars(10);
@@ -212,12 +205,11 @@ TEST_F(ChaosTest, AuctioneerCrashMidRunMigratesJobToSurvivors) {
       << JobStateName((*job)->state) << " failure=" << (*job)->failure;
   EXPECT_TRUE((*job)->AllChunksDone());
 
-  // The failure detector declared the crashed host dead and the scheduler
-  // migrated work off it.
+  // The crashed host's record expired, so it reads dead, and the
+  // scheduler migrated work off it.
   EXPECT_EQ(plugin_->HostHealth(dead_host), HostHealthState::kDead);
   EXPECT_EQ(plugin_->HostHealth(survivor), HostHealthState::kHealthy);
-  EXPECT_GT(plugin_->migrations(), 0u);
-  EXPECT_GT(plugin_->probe_failures(), 0u);
+  EXPECT_EQ(plugin_->migrations(), 1u);
   // Every chunk still open at the crash finished somewhere alive.
   for (const SubJobRecord& subjob : (*job)->subjobs) {
     EXPECT_TRUE(subjob.completed);
@@ -234,24 +226,21 @@ TEST_F(ChaosTest, AuctioneerCrashMidRunMigratesJobToSurvivors) {
   EXPECT_FALSE(
       AuctioneerFor(dead_host)->HasAccount((*job)->account));
 
-  // The monitor surfaces the verdicts and the fault counters.
+  // The monitor surfaces the verdicts.
   const std::string health_table =
       RenderHealthTable(plugin_->HostHealthReport());
   EXPECT_NE(health_table.find(dead_host), std::string::npos);
   EXPECT_NE(health_table.find("DEAD"), std::string::npos);
   EXPECT_NE(health_table.find("HEALTHY"), std::string::npos);
-  const std::string net_table = RenderNetTable(bus_.stats(), plugin_.get());
-  EXPECT_NE(net_table.find("probe_failures"), std::string::npos);
-  EXPECT_NE(net_table.find("migrations=1"), std::string::npos);
 }
 
 TEST_F(ChaosTest, CrashedHostIsExcludedFromNewSchedulingUntilRestart) {
   AddHosts(3);
-  EnableProbes();
-  kernel_.RunUntil(sim::Minutes(1));  // all hosts probed healthy
+  kernel_.RunUntil(sim::Minutes(1));  // last heartbeat at t = 1 min
   CrashHost("h0");
-  kernel_.RunUntil(sim::Minutes(3));  // detector declares h0 dead
+  kernel_.RunUntil(sim::Minutes(7));  // the 5 min TTL has lapsed
   ASSERT_EQ(plugin_->HostHealth("h0"), HostHealthState::kDead);
+  EXPECT_FALSE(sls_.Lookup("h0").ok());
 
   const auto job_id = broker_->Submit(ScanXrsl(3, 6),
                                       PayBroker(Money::Dollars(10)));
@@ -264,28 +253,42 @@ TEST_F(ChaosTest, CrashedHostIsExcludedFromNewSchedulingUntilRestart) {
     EXPECT_NE(host, "h0");  // dead host never selected
   }
 
-  // Restart: the endpoint comes back, probes succeed, health recovers.
-  AuctioneerFor("h0")->Start();
-  ASSERT_TRUE(bus_.RestartEndpoint(ProbeEndpoint("h0")).ok());
-  kernel_.RunUntil(kernel_.now() + sim::Minutes(2));
+  // Restart: the host heartbeats at once and is healthy again.
+  RestartHost("h0");
   EXPECT_EQ(plugin_->HostHealth("h0"), HostHealthState::kHealthy);
+  EXPECT_TRUE(sls_.Lookup("h0").ok());
   EXPECT_TRUE(bank_.CheckInvariants().ok());
 }
 
-TEST_F(ChaosTest, BurstLossWindowDoesNotKillHealthyHosts) {
+TEST_F(ChaosTest, HealthFollowsHeartbeatAge) {
   AddHosts(2);
-  EnableProbes();
-  // A 30 s burst of 60% loss: individual probe rounds may fail, but the
-  // retry budget and the dead_after threshold keep verdicts stable.
-  net::FaultPlan plan;
-  plan.BurstLoss(sim::Minutes(2), sim::Minutes(2) + sim::Seconds(30), 0.6);
-  ApplyFaultPlan(bus_, plan);
   kernel_.RunUntil(sim::Minutes(10));
-  for (const HostHealthInfo& health : plugin_->HostHealthReport()) {
-    EXPECT_NE(health.state, HostHealthState::kDead) << health.host_id;
-  }
-  EXPECT_GT(bus_.stats().dropped, 0u);
-  EXPECT_TRUE(bus_.stats().Reconciles());
+  CrashHost("h0");  // its last heartbeat went out at t = 10 min
+  const auto health_of = [this](const std::string& host_id) {
+    for (const HostHealthInfo& info : plugin_->HostHealthReport())
+      if (info.host_id == host_id) return info;
+    ADD_FAILURE() << "no health row for " << host_id;
+    return HostHealthInfo{};
+  };
+
+  // Younger than half the TTL: still healthy.
+  kernel_.RunUntil(sim::Minutes(12));
+  EXPECT_EQ(health_of("h0").state, HostHealthState::kHealthy);
+  // Older than half the TTL: suspect, with the last heartbeat on record.
+  kernel_.RunUntil(sim::Minutes(13));
+  EXPECT_EQ(health_of("h0").state, HostHealthState::kSuspect);
+  EXPECT_EQ(health_of("h0").last_heartbeat, sim::Minutes(10));
+  // Exactly a TTL old is still live; one tick past it, the record expired.
+  kernel_.RunUntil(sim::Minutes(15));
+  EXPECT_EQ(health_of("h0").state, HostHealthState::kSuspect);
+  kernel_.RunUntil(sim::Minutes(15) + 1);
+  EXPECT_EQ(health_of("h0").state, HostHealthState::kDead);
+  EXPECT_EQ(health_of("h0").last_heartbeat, -1);
+  EXPECT_EQ(sls_.live_count(), 1u);
+
+  // The survivor kept heartbeating throughout.
+  EXPECT_EQ(health_of("h1").state, HostHealthState::kHealthy);
+  EXPECT_EQ(plugin_->migrations(), 0u);
 }
 
 }  // namespace

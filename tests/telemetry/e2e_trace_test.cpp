@@ -1,8 +1,8 @@
 // End-to-end telemetry through the assembled GridMarket: one submission
 // must produce a complete causal chain (submit -> fund-verify -> bid ->
 // execute -> stage-out -> refund) with every lifecycle span appearing
-// exactly once, and CollectMetrics must export the totals the components
-// keep in their own structs.
+// exactly once, CollectMetrics must export the totals the components
+// keep in their own structs, and migrations count as they happen.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -51,9 +51,6 @@ int CountSpans(const std::vector<telemetry::SpanEvent>& events,
 
 TEST(TelemetryE2eTest, JobLifecycleIsOneCompleteSpanChain) {
   GridMarket grid(TelemetryConfig());
-  // The scheduler links auctioneers directly; probe RPCs are what put
-  // traffic on the simulated bus.
-  ASSERT_TRUE(grid.EnableHealthProbes().ok());
   ASSERT_TRUE(grid.RegisterUser("alice", Money::Dollars(100.0)).ok());
   const auto job_id = grid.SubmitJob("alice", SmallJob(), Money::Dollars(10.0));
   ASSERT_TRUE(job_id.ok()) << job_id.status().ToString();
@@ -95,8 +92,6 @@ TEST(TelemetryE2eTest, JobLifecycleIsOneCompleteSpanChain) {
   ASSERT_TRUE(snapshot.ok());
   EXPECT_GT(snapshot->CounterOr("market.auction.ticks"), 0u);
   EXPECT_GT(snapshot->CounterOr("bank.transfers"), 0u);
-  EXPECT_GT(snapshot->CounterOr("net.bus.sent"), 0u);
-  EXPECT_GT(snapshot->histograms.at("net.bus.delivery_latency_us").count, 0u);
   EXPECT_GT(snapshot->summaries.at("predict.persistence.abs_err").count, 0u);
 }
 
@@ -149,7 +144,6 @@ TEST(TelemetryE2eTest, CollectMetricsExportsTheComponentStructs) {
   config.storage.dir = dir.string();
   config.bank_shards = 3;
   GridMarket grid(config);
-  ASSERT_TRUE(grid.EnableHealthProbes().ok());
   ASSERT_TRUE(grid.RegisterUser("alice", Money::Dollars(100.0)).ok());
   ASSERT_TRUE(grid.SubmitJob("alice", SmallJob(), Money::Dollars(10.0)).ok());
   grid.RunUntil(sim::Minutes(20));
@@ -157,19 +151,6 @@ TEST(TelemetryE2eTest, CollectMetricsExportsTheComponentStructs) {
 
   const auto snapshot = grid.CollectMetrics();
   ASSERT_TRUE(snapshot.ok());
-  const net::BusStats bus = grid.bus().stats();
-  ASSERT_GT(bus.sent, 0u);
-  EXPECT_EQ(snapshot->CounterOr("net.bus.sent"), bus.sent);
-  EXPECT_EQ(snapshot->CounterOr("net.bus.delivered"), bus.delivered);
-  EXPECT_EQ(snapshot->CounterOr("net.bus.dropped"), bus.dropped);
-  EXPECT_EQ(snapshot->CounterOr("net.bus.undeliverable"), bus.undeliverable);
-  EXPECT_EQ(snapshot->CounterOr("net.bus.in_flight"), bus.in_flight);
-  EXPECT_EQ(snapshot->CounterOr("net.bus.bytes_sent"), bus.bytes_sent);
-  EXPECT_EQ(snapshot->CounterOr("net.bus.bytes_dropped"), bus.bytes_dropped);
-  const grid::TycoonSchedulerPlugin& plugin = grid.broker().plugin();
-  ASSERT_GT(plugin.probes_sent(), 0u);
-  EXPECT_EQ(snapshot->CounterOr("grid.agent.probes"), plugin.probes_sent());
-
   const std::vector<grid::StoreRow> rows = grid.StoreRows();
   ASSERT_EQ(rows.size(), 2u + config.hosts + config.bank_shards);
   for (const grid::StoreRow& row : rows) {
@@ -200,6 +181,41 @@ TEST(TelemetryE2eTest, CollectMetricsExportsTheComponentStructs) {
   }
   EXPECT_EQ(snapshot->CounterOr("fed.reconcile.sweeps"), 1u);
   EXPECT_EQ(snapshot->GaugeOr("fed.reconcile.conserved"), 1.0);
+}
+
+// A migration off a crashed host lands in the registry as it happens and
+// on the job's trace next to the crash.
+TEST(TelemetryE2eTest, MigrationCountsIntoTheRegistryAndTheTrace) {
+  GridMarket grid(TelemetryConfig());
+  ASSERT_TRUE(grid.RegisterUser("alice", Money::Dollars(100.0)).ok());
+  grid::JobDescription long_job = SmallJob();
+  long_job.cpu_time_minutes = 10.0;
+  const auto job_id = grid.SubmitJob("alice", long_job, Money::Dollars(10.0));
+  ASSERT_TRUE(job_id.ok()) << job_id.status().ToString();
+  grid.RunFor(sim::Minutes(2));
+  const std::string victim = (*grid.Job(*job_id))->hosts_used.at(0);
+  for (std::size_t i = 0; i < grid.host_count(); ++i) {
+    if (grid.auctioneer(i).physical_host().id() == victim) {
+      ASSERT_TRUE(grid.CrashHost(i).ok());
+    }
+  }
+  grid.RunFor(sim::Minutes(10));  // past the TTL and one liveness check
+
+  const std::uint64_t migrations = grid.broker().plugin().migrations();
+  EXPECT_EQ(migrations, 1u);
+  EXPECT_EQ(grid.telemetry()->metrics().Snapshot().CounterOr(
+                "grid.agent.migrations"),
+            migrations);
+  const auto events = grid.JobTrace(*job_id);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  sim::SimTime crashed_at = -1;
+  sim::SimTime migrated_at = -1;
+  for (const auto& event : *events) {
+    if (event.name == "host-crash") crashed_at = event.start;
+    if (event.name == "migrate") migrated_at = event.start;
+  }
+  ASSERT_GE(crashed_at, 0);
+  EXPECT_GT(migrated_at, crashed_at);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@ TEST(TracerTest, SpanLifecycle) {
   Tracer tracer;
   const TraceId trace = tracer.NewTrace();
   const SpanId span = tracer.BeginSpan(trace, "submit", "user=alice", 100);
-  tracer.AddAttempt(span);
   tracer.EndSpan(span, 250, SpanStatus::kOk);
 
   const auto events = tracer.EventsFor(trace);
@@ -21,7 +20,6 @@ TEST(TracerTest, SpanLifecycle) {
   EXPECT_EQ(events[0].start, 100);
   EXPECT_EQ(events[0].end, 250);
   EXPECT_EQ(events[0].Duration(), 150);
-  EXPECT_EQ(events[0].attempts, 2u);
   EXPECT_EQ(events[0].status, SpanStatus::kOk);
   EXPECT_FALSE(events[0].instant);
 }
