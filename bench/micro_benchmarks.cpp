@@ -63,7 +63,7 @@ void BM_AuctioneerTick(benchmark::State& state) {
     auto vm = auctioneer.AcquireVm(user);
     (*vm)->Enqueue({1, 1e18, nullptr});
   }
-  const sim::SimDuration interval = auctioneer.config().interval;
+  const sim::SimDuration interval = market::kAuctionInterval;
   auctioneer.Start();
   kernel.RunUntil(2 * interval);  // warm up allocations
   const Money revenue_before = auctioneer.total_revenue();

@@ -3,7 +3,8 @@
 # build + tests (warnings as errors), the telemetry smoke stage (chaos
 # example must emit a parseable JSONL with a complete job span chain), a
 # run of every other example (flash_crowd's scenario digest pinned), the
-# auction-tick microbenchmark, the benchmark build, logic tests and
+# paper harnesses (stdout digests pinned), the auction-tick
+# microbenchmark, the benchmark build, logic tests and
 # output checks, then the sanitizer job.
 # Usage: scripts/ci.sh [ctest args...]
 set -euo pipefail
@@ -180,6 +181,30 @@ if ! cmp -s scripts/example_digests.txt "$EXAMPLE_DIGESTS"; then
   exit 1
 fi
 echo "example digests match scripts/example_digests.txt"
+end_stage
+
+begin_stage "paper harness digests" 30
+# The paper reproductions (Tables 1-2, the scheduler ablation, Figs 3-7)
+# are seeded end to end: a hash of each one's stdout must equal the
+# committed scripts/paper_digests.txt, so a change that moves a paper
+# result on purpose updates that file and says why.
+PAPER_DIGESTS="$SMOKE_DIR/paper_digests.txt"
+: > "$PAPER_DIGESTS"
+while read -r harness _; do
+  (cd "$SMOKE_DIR" && "$OLDPWD/$BUILD_DIR/bench/$harness" \
+    > "$harness.log" 2> "$harness.err")
+  echo "$harness $(sha256sum < "$SMOKE_DIR/$harness.log" | cut -c1-16)" \
+    >> "$PAPER_DIGESTS"
+done < scripts/paper_digests.txt
+if ! cmp -s scripts/paper_digests.txt "$PAPER_DIGESTS"; then
+  echo "paper harness digests differ from scripts/paper_digests.txt"
+  echo "-- expected (scripts/paper_digests.txt):"
+  cat scripts/paper_digests.txt
+  echo "-- got:"
+  cat "$PAPER_DIGESTS"
+  exit 1
+fi
+echo "paper harness digests match scripts/paper_digests.txt"
 end_stage
 
 begin_stage "micro: auction tick" 60

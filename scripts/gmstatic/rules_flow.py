@@ -31,9 +31,12 @@ The analysis is scope-sensitive but path-insensitive: closes inside a
 conditional block cover only that block (they un-merge at the closing
 brace) unless the block's condition mentions the open's result
 variable, in which case the settle-on-failure / settle-on-success
-branch is credited at the outer level too. Opens likewise stay inside
-the block that made them — both choices trade missed corner cases for
-zero-noise reports, the same bargain the rest of gmstatic makes.
+branch is credited at the outer level too. The single-statement body of
+a brace-less if / else / while / for is a block of its own, with the
+same condition, so `if (p) p->Refund(...);` settles nothing outside it.
+Opens likewise stay inside the block that made them — both choices
+trade missed corner cases for zero-noise reports, the same bargain the
+rest of gmstatic makes.
 """
 
 import re
@@ -479,14 +482,87 @@ def _stmt_has_close(tokens, i, end, sites, summaries):
     return False
 
 
-class _MoneyFrame:
-    __slots__ = ("open_label", "open_var", "closed", "cond")
+_PAREN_STATEMENTS = frozenset({"if", "while", "for", "switch"})
 
-    def __init__(self, open_label, open_var, closed, cond):
+
+def _stmt_end(tokens, k, end):
+    """Index of the last token of the statement that starts at
+    tokens[k]: its closing brace, its `;`, or the end of an if's else
+    chain."""
+    text = tokens[k].text
+    block = text == "{"
+    if text in _PAREN_STATEMENTS:
+        j = k + 1
+        if j < end and tokens[j].text == "constexpr":
+            j += 1
+        if j < end and tokens[j].text == "(":
+            body_end = _stmt_end(tokens, _match_paren(tokens, j, end) + 1,
+                                 end)
+            if text == "if" and body_end + 2 < end \
+                    and tokens[body_end + 1].text == "else":
+                return _stmt_end(tokens, body_end + 2, end)
+            return body_end
+    depth = 0
+    while k < end:
+        text = tokens[k].text
+        if text in ("(", "[", "{"):
+            depth += 1
+        elif text in (")", "]", "}"):
+            depth -= 1
+            if depth < 0:
+                return k - 1
+            if block and depth == 0:
+                return k
+        elif text == ";" and depth == 0:
+            return k
+        k += 1
+    return end - 1
+
+
+def _braceless_body(tokens, i, end):
+    """Start index of the brace-less single-statement body that the
+    if / while / for / else at tokens[i] controls; None when the body is
+    a braced block or tokens[i] controls nothing."""
+    text = tokens[i].text
+    if text == "else":
+        body = i + 1
+    elif text in ("if", "while", "for"):
+        j = i + 1
+        if j < end and tokens[j].text == "constexpr":
+            j += 1
+        if j >= end or tokens[j].text != "(":
+            return None
+        body = _match_paren(tokens, j, end) + 1
+    else:
+        return None
+    if body >= end or tokens[body].text == "{":
+        return None
+    return body
+
+
+class _MoneyFrame:
+    __slots__ = ("open_label", "open_var", "closed", "cond", "end")
+
+    def __init__(self, open_label, open_var, closed, cond, end=None):
         self.open_label = open_label
         self.open_var = open_var
         self.closed = closed
         self.cond = cond
+        # Last token of a brace-less body; None for a braced block.
+        self.end = end
+
+
+def _pop_money_frame(stack):
+    """Leave the innermost block. A branch keyed on the open's result
+    variable that settled the hold (failure-refund or success-settle
+    pattern) credits the outer level."""
+    popped = stack.pop()
+    if not stack:
+        return
+    top = stack[-1]
+    if popped.closed and not top.closed and top.open_var \
+            and top.open_var in popped.cond:
+        top.closed = True
 
 
 def rule_money_conservation(ctx, source, report):
@@ -502,14 +578,28 @@ def rule_money_conservation(ctx, source, report):
         sites = {s.index: s for s in graph.calls.get(fn, ())}
         lambdas = lambda_ranges(source, fn)
         stack = [_MoneyFrame(None, None, False, frozenset())]
+        # Brace-less bodies, keyed by their first token: (condition, end).
+        braceless = {}
         i = fn.body_start + 1
         while i < fn.body_end:
             past = _skip_lambda(lambdas, i)
             if past is not None:
                 i = past
                 continue
+            while stack[-1].end is not None and stack[-1].end < i:
+                _pop_money_frame(stack)
+            if i in braceless:
+                cond, end = braceless.pop(i)
+                top = stack[-1]
+                stack.append(_MoneyFrame(top.open_label, top.open_var,
+                                         top.closed, cond, end))
             t = tokens[i]
             text = t.text
+            body = _braceless_body(tokens, i, fn.body_end)
+            if body is not None:
+                braceless[body] = (
+                    _block_condition(tokens, body, fn.body_start),
+                    _stmt_end(tokens, body, fn.body_end))
             if text == "{":
                 top = stack[-1]
                 stack.append(_MoneyFrame(
@@ -518,16 +608,9 @@ def rule_money_conservation(ctx, source, report):
                 i += 1
                 continue
             if text == "}":
-                popped = stack.pop()
+                _pop_money_frame(stack)
                 if not stack:
                     break
-                top = stack[-1]
-                # Merge: a branch keyed on the open's result variable
-                # settled the hold (failure-refund or success-settle
-                # pattern) — credit the outer level.
-                if popped.closed and not top.closed and top.open_var \
-                        and top.open_var in popped.cond:
-                    top.closed = True
                 i += 1
                 continue
             if text == "return" or (t.kind == IDENT
@@ -557,6 +640,8 @@ def rule_money_conservation(ctx, source, report):
                 elif kind == "close":
                     stack[-1].closed = True
             i += 1
+        while len(stack) > 1 and stack[-1].end is not None:
+            _pop_money_frame(stack)
         if stack:
             top = stack[-1]
             if top.open_label and not top.closed:

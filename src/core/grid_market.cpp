@@ -8,10 +8,30 @@ namespace gm {
 
 namespace {
 
-store::StoreOptions MakeStoreOptions(const GridMarket::Config& config) {
+/// Every host advertises as owned by the one site the market models.
+constexpr const char* kSite = "hp-palo-alto";
+/// Period of each host's SLS heartbeat. A host whose record outlives
+/// the SLS TTL without one is dead to the scheduler (see CrashHost).
+constexpr sim::SimDuration kSlsHeartbeat = sim::Minutes(1);
+// The plugin's HealthOf reads a record older than half the TTL as
+// SUSPECT, so a live host must heartbeat more than twice per TTL.
+static_assert(2 * kSlsHeartbeat < market::kSlsRecordTtl,
+              "a live host would read SUSPECT between heartbeats");
+
+/// Bit widths of the Schnorr group used for all keys. This
+/// small-but-real group keeps simulations fast; the full-size
+/// deployment parameters are 256/160.
+constexpr std::size_t kGroupPBits = 96;
+constexpr std::size_t kGroupQBits = 48;
+
+/// Journal segment size and auto-checkpoint cadence of every store.
+constexpr std::size_t kSegmentMaxBytes = 256 * 1024;
+constexpr std::uint64_t kSnapshotEveryRecords = 4096;
+
+store::StoreOptions MakeStoreOptions() {
   store::StoreOptions options;
-  options.segment_max_bytes = config.storage.segment_max_bytes;
-  options.snapshot_every_records = config.storage.snapshot_every_records;
+  options.segment_max_bytes = kSegmentMaxBytes;
+  options.snapshot_every_records = kSnapshotEveryRecords;
   return options;
 }
 
@@ -19,8 +39,7 @@ store::StoreOptions MakeStoreOptions(const GridMarket::Config& config) {
 
 GridMarket::GridMarket(Config config)
     : config_(std::move(config)), rng_(config_.seed) {
-  auto group = crypto::GenerateSchnorrGroup(config_.group_p_bits,
-                                            config_.group_q_bits, rng_);
+  auto group = crypto::GenerateSchnorrGroup(kGroupPBits, kGroupQBits, rng_);
   GM_ASSERT(group.ok(), "Schnorr group generation failed");
   group_ = *group;
 
@@ -47,7 +66,7 @@ GridMarket::GridMarket(Config config)
     GM_ASSERT(!config_.storage.dir.empty(),
               "Config.storage.durable requires Config.storage.dir");
     auto bank_store = store::DurableStore::Open(config_.storage.dir + "/bank",
-                                                MakeStoreOptions(config_));
+                                                MakeStoreOptions());
     GM_ASSERT(bank_store.ok(), "bank store open failed");
     bank_store_ = std::move(*bank_store);
     if (telemetry_ != nullptr)
@@ -58,7 +77,7 @@ GridMarket::GridMarket(Config config)
       resume = std::max(resume, entry.at_us);
 
     auto sls_store = store::DurableStore::Open(config_.storage.dir + "/sls",
-                                               MakeStoreOptions(config_));
+                                               MakeStoreOptions());
     GM_ASSERT(sls_store.ok(), "sls store open failed");
     sls_store_ = std::move(*sls_store);
     if (telemetry_ != nullptr)
@@ -78,7 +97,7 @@ GridMarket::GridMarket(Config config)
       if (config_.storage.durable) {
         const std::string label = "fed/shard" + std::to_string(k);
         auto fed_store = store::DurableStore::Open(
-            config_.storage.dir + "/" + label, MakeStoreOptions(config_));
+            config_.storage.dir + "/" + label, MakeStoreOptions());
         GM_ASSERT(fed_store.ok(), "federation shard store open failed");
         fed_stores_.push_back(std::move(*fed_store));
         if (telemetry_ != nullptr)
@@ -110,10 +129,6 @@ GridMarket::GridMarket(Config config)
     }
     GM_ASSERT(federation_->ResumeSettlements(kernel_.now()).ok(),
               "federation settlement resume failed");
-    if (config_.reconcile_every > 0) {
-      kernel_.ScheduleEvery(config_.reconcile_every, config_.reconcile_every,
-                            [this] { (void)reconciler_->Sweep(kernel_.now()); });
-    }
   }
 
   if (!bank_->HasAccount("broker")) {
@@ -154,7 +169,7 @@ GridMarket::GridMarket(Config config)
       auctioneers_.back()->AttachTelemetry(telemetry_.get());
     if (config_.storage.durable) {
       auto host_store = store::DurableStore::Open(
-          config_.storage.dir + "/price/" + spec.id, MakeStoreOptions(config_));
+          config_.storage.dir + "/price/" + spec.id, MakeStoreOptions());
       GM_ASSERT(host_store.ok(), "host price store open failed");
       host_stores_.push_back(std::move(*host_store));
       if (telemetry_ != nullptr)
@@ -190,8 +205,7 @@ GridMarket::GridMarket(Config config)
 std::unique_ptr<market::SlsPublisher> GridMarket::MakePublisher(
     std::size_t index) {
   return std::make_unique<market::SlsPublisher>(
-      *auctioneers_[index], *sls_, config_.site, kernel_,
-      config_.sls_heartbeat);
+      *auctioneers_[index], *sls_, kSite, kernel_, kSlsHeartbeat);
 }
 
 GridMarket::~GridMarket() = default;
@@ -475,14 +489,8 @@ Result<telemetry::MetricsSnapshot> GridMarket::CollectMetrics() {
   // registry.
   for (const grid::StoreRow& row : StoreRows())
     grid::MirrorStoreStats(row, telemetry_->metrics());
-  if (federation_ != nullptr) {
-    for (const auto& shard : bank_shards_)
-      grid::MirrorFederationStats(shard->SnapshotInfo(),
-                                  telemetry_->metrics());
-    const auto last = reconciler_->LastReport();
-    if (last.ok())
-      grid::MirrorReconciliationStatus(*last, telemetry_->metrics());
-  }
+  for (const auto& shard : bank_shards_)
+    grid::MirrorFederationStats(shard->SnapshotInfo(), telemetry_->metrics());
   return telemetry_->metrics().Snapshot();
 }
 

@@ -40,6 +40,9 @@ namespace gm {
 
 class GridMarket {
  public:
+  /// Each field has a caller outside the tests; values the market never
+  /// varies (heartbeat, group size, store cadence) are constants in
+  /// grid_market.cpp.
   struct Config {
     int hosts = 30;
     int cpus_per_host = 2;
@@ -54,10 +57,6 @@ class GridMarket {
     bool work_conserving = true;
     sim::SimDuration vm_boot_time = sim::Seconds(30);
     int max_vms_per_host = 15;
-    std::string site = "hp-palo-alto";
-    /// Period of each host's SLS heartbeat. A host whose record outlives
-    /// the SLS TTL without one is dead to the scheduler (see CrashHost).
-    sim::SimDuration sls_heartbeat = sim::Minutes(1);
     grid::PluginConfig plugin;
     /// Durable state engine (src/store). In-memory by default; in durable
     /// mode the Bank ledger, SLS registrations and per-host price
@@ -68,9 +67,6 @@ class GridMarket {
     struct StorageConfig {
       bool durable = false;
       std::string dir;  // required when durable
-      std::size_t segment_max_bytes = 256 * 1024;
-      /// Auto-checkpoint + compact each store after this many appends.
-      std::uint64_t snapshot_every_records = 4096;
     };
     StorageConfig storage;
     /// Sharded bank federation (src/bank/federation). 0 disables. When
@@ -83,9 +79,6 @@ class GridMarket {
     /// storage each shard journals under "<dir>/fed/shard<k>" and
     /// recovers bit-identically across CrashBankShard/RestartBankShard.
     int bank_shards = 0;
-    /// Periodic reconciliation sweep cadence; 0 disables (sweep manually
-    /// with Reconcile()).
-    sim::SimDuration reconcile_every = 0;
     /// Telemetry subsystem (src/telemetry). Off by default: no component
     /// carries a telemetry pointer and every instrumentation site is a
     /// single never-taken null check. When enabled, each job submission
@@ -102,11 +95,6 @@ class GridMarket {
     };
     TelemetryConfig telemetry;
     std::uint64_t seed = 42;
-    /// Bit widths of the Schnorr group used for all keys. The default
-    /// small-but-real group keeps simulations fast; use 256/160 for the
-    /// full-size deployment parameters.
-    std::size_t group_p_bits = 96;
-    std::size_t group_q_bits = 48;
   };
 
   explicit GridMarket(Config config);

@@ -9,7 +9,6 @@ namespace gm::grid {
 std::string RenderClusterTable(
     const std::vector<const market::Auctioneer*>& auctioneers,
     sim::SimTime now) {
-  (void)now;
   std::string out = StrFormat("%-10s %4s %4s %12s %12s %10s\n", "HOST",
                               "CPUS", "VMS", "PRICE($/h)", "REVENUE($)",
                               "UTIL(%)");
@@ -112,14 +111,6 @@ void MirrorFederationStats(const bank::federation::ShardSnapshotInfo& info,
       ->Set(info.balance_total.dollars());
   registry.GetGauge(prefix + "held_dollars")->Set(info.hold_total.dollars());
   registry.GetCounter(prefix + "crashed")->Set(info.crashed ? 1 : 0);
-}
-
-void MirrorReconciliationStatus(
-    const bank::federation::ReconciliationReport& report,
-    telemetry::MetricsRegistry& registry) {
-  registry.GetCounter("fed.reconcile.sweeps")->Set(report.sweep_seq);
-  registry.GetGauge("fed.reconcile.conserved")
-      ->Set(report.conserved ? 1.0 : 0.0);
 }
 
 std::string RenderFederationTable(

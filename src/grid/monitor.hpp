@@ -60,11 +60,6 @@ std::string RenderFederationTable(
 void MirrorFederationStats(const bank::federation::ShardSnapshotInfo& info,
                            telemetry::MetricsRegistry& registry);
 
-/// Mirror the last reconciliation verdict under "fed.reconcile.*".
-void MirrorReconciliationStatus(
-    const bank::federation::ReconciliationReport& report,
-    telemetry::MetricsRegistry& registry);
-
 /// Both tables with a timestamp header.
 std::string RenderMonitor(
     const std::vector<const market::Auctioneer*>& auctioneers,

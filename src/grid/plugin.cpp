@@ -8,6 +8,17 @@
 
 namespace gm::grid {
 
+namespace {
+
+/// Stage-in/out bandwidth between the broker and hosts.
+constexpr double kStageBandwidthMbPerSec = 50.0;
+/// SLS candidates considered = count * this.
+constexpr std::size_t kCandidateMultiplier = 4;
+/// Never hold more than this share of a vCPU (x -> infinity as s -> 1).
+constexpr double kMaxTargetShare = 0.97;
+
+}  // namespace
+
 const char* HostHealthStateName(HostHealthState state) {
   switch (state) {
     case HostHealthState::kHealthy: return "HEALTHY";
@@ -75,7 +86,7 @@ HostHealthInfo TycoonSchedulerPlugin::HealthOf(
     return info;
   }
   info.last_heartbeat = record->updated_at;
-  if (kernel_.now() - record->updated_at > sls_.ttl() / 2)
+  if (kernel_.now() - record->updated_at > market::kSlsRecordTtl / 2)
     info.state = HostHealthState::kSuspect;
   return info;
 }
@@ -247,7 +258,7 @@ sim::SimDuration TycoonSchedulerPlugin::StageDuration(
     const std::vector<StagedFile>& files) const {
   double total_mb = 0.0;
   for (const StagedFile& file : files) total_mb += file.size_mb;
-  return sim::Seconds(total_mb / config_.stage_bandwidth_mb_per_s);
+  return sim::Seconds(total_mb / kStageBandwidthMbPerSec);
 }
 
 Result<std::uint64_t> TycoonSchedulerPlugin::Launch(JobRecord job) {
@@ -263,7 +274,7 @@ Result<std::uint64_t> TycoonSchedulerPlugin::Launch(JobRecord job) {
   if (job.submitted_at < 0) job.submitted_at = kernel_.now();
   job.deadline = kernel_.now() +
                  sim::Minutes(job.description.wall_time_minutes *
-                              config_.expiry_factor);
+                              kExpiryFactor);
   ActiveJob& active = jobs_[id];
   active.record = std::move(job);
   active.spend_target =
@@ -280,8 +291,9 @@ Result<std::uint64_t> TycoonSchedulerPlugin::Launch(JobRecord job) {
   // SLS TTL, so a crashed host's jobs move off it within two TTLs of its
   // last heartbeat.
   if (!liveness_timer_.valid()) {
-    liveness_timer_ = kernel_.ScheduleEvery(sls_.ttl(), sls_.ttl(),
-                                            [this] { CheckLiveness(); });
+    liveness_timer_ =
+        kernel_.ScheduleEvery(market::kSlsRecordTtl, market::kSlsRecordTtl,
+                              [this] { CheckLiveness(); });
   }
   // Deadline watchdog.
   active.expiry = kernel_.ScheduleAt(active.record.deadline, [this, id] {
@@ -316,7 +328,7 @@ Status TycoonSchedulerPlugin::Schedule(ActiveJob& job) {
   market::HostQuery query;
   query.require_vm_slot = true;
   query.limit = static_cast<std::size_t>(record.description.count) *
-                config_.candidate_multiplier;
+                kCandidateMultiplier;
   // Query already drops hosts whose records expired (dead hosts); keep
   // only those whose auctioneer we can reach.
   std::vector<market::HostRecord> candidates = sls_.Query(query);
@@ -603,7 +615,7 @@ void TycoonSchedulerPlugin::Rebid(ActiveJob& job) {
   if (live.empty() || live_capacity <= 0.0) return;
   // Needed fraction of the fleet, spread uniformly over the live hosts.
   const double fleet_share =
-      std::min(config_.max_target_share, required / live_capacity);
+      std::min(kMaxTargetShare, required / live_capacity);
 
   for (const std::size_t h : live) {
     HostBinding& binding = job.hosts[h];
@@ -705,15 +717,13 @@ bool TycoonSchedulerPlugin::DispatchChunk(ActiveJob& job,
                                          .auctioneer->physical_host().id();
                       done.vm_id = active.hosts[host_index].vm_id;
                     }
-                    OnChunkComplete(id, ordinal, host_index, completed_at);
+                    OnChunkComplete(id, ordinal, host_index);
                   }});
   return true;
 }
 
 void TycoonSchedulerPlugin::OnChunkComplete(std::uint64_t job_id, int ordinal,
-                                            std::size_t host_index,
-                                            sim::SimTime completed_at) {
-  (void)completed_at;
+                                            std::size_t host_index) {
   const auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return;
   ActiveJob& job = it->second;

@@ -50,26 +50,21 @@ struct HostHealthInfo {
   sim::SimTime last_heartbeat = -1;
 };
 
+/// The wallTime deadline shapes the spend rate (budget / wallTime), but
+/// — as in the paper, whose $100 jobs ran 7.07 h against a 5.5 h
+/// deadline — it does not kill the job. Jobs are reaped as EXPIRED only
+/// after wallTime * kExpiryFactor.
+constexpr double kExpiryFactor = 4.0;
+
 struct PluginConfig {
   /// cpuTime is defined against this reference CPU (cycles/s).
   CyclesPerSecond reference_capacity = GHz(3.0);
-  /// Stage-in/out bandwidth between the broker and hosts.
-  double stage_bandwidth_mb_per_s = 50.0;
-  /// SLS candidates considered = count * this.
-  std::size_t candidate_multiplier = 4;
-  /// The wallTime deadline shapes the spend rate (budget / wallTime), but
-  /// — as in the paper, whose $100 jobs ran 7.07 h against a 5.5 h
-  /// deadline — it does not kill the job. Jobs are reaped as EXPIRED only
-  /// after wallTime * expiry_factor.
-  double expiry_factor = 4.0;
   /// Adaptive re-bidding period. The agent periodically recomputes, per
   /// host, the CPU share still needed to meet the wallTime target and
   /// bids just enough against the current price to hold it (capped by the
   /// host account's remaining funds). 0 disables adaptation, leaving the
   /// initial best-response bids standing.
   sim::SimDuration rebid_period = sim::Minutes(5);
-  /// Never hold more than this share of a vCPU (x -> infinity as s -> 1).
-  double max_target_share = 0.97;
   /// Duplicate the oldest outstanding chunk onto an idle VM when no fresh
   /// work remains (backup-task straggler mitigation).
   bool speculative_execution = true;
@@ -126,8 +121,6 @@ class TycoonSchedulerPlugin {
     on_finished_ = std::move(callback);
   }
 
-  const PluginConfig& config() const { return config_; }
-
   /// Emit lifecycle spans (bid, stage-in, execute, stage-out, refund) and
   /// instants (boost, migrate, chunk-complete) for traced jobs, tag host
   /// market accounts with the job trace, and count migrations into
@@ -177,7 +170,7 @@ class TycoonSchedulerPlugin {
   /// idle VM on `host_index`. Returns false if there was nothing to run.
   bool DispatchChunk(ActiveJob& job, std::size_t host_index);
   void OnChunkComplete(std::uint64_t job_id, int ordinal,
-                       std::size_t host_index, sim::SimTime completed_at);
+                       std::size_t host_index);
   /// Periodic agent step: re-bid each host to hold the share that keeps
   /// the job on track for its wallTime target.
   void Rebid(ActiveJob& job);

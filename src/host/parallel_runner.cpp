@@ -75,28 +75,6 @@ void ParallelRunner::RunShard(Shard& shard, sim::SimTime now) {
   market::Auctioneer& auctioneer = *shard.auctioneer;
   if (!shard.prepared) PrepareShard(shard);
 
-  // Account churn: close the first bidder (reclaiming its escrowed
-  // balance) and reopen it in the same round, so this tick sees a bid
-  // removed and re-added between auctions. All shard-local state — the
-  // cadence counter, the RNG, the auctioneer — so serial and pooled
-  // runs churn identically.
-  if (config_.churn_every > 0 && config_.bidders_per_shard > 0 &&
-      shard.rounds_run % static_cast<std::uint64_t>(config_.churn_every) ==
-          static_cast<std::uint64_t>(config_.churn_every) - 1) {
-    const std::string user = BidderName(auctioneer, 0);
-    const Result<Money> refund = auctioneer.CloseAccount(user);
-    GM_ASSERT(refund.ok(), "parallel_runner: churn CloseAccount failed");
-    const Status reopened = auctioneer.OpenAccount(user);
-    GM_ASSERT(reopened.ok(), "parallel_runner: churn OpenAccount failed");
-    // Re-seed the account with the reclaimed escrow (or fresh capital if
-    // the auctions drained it) so it keeps participating.
-    const Money stake =
-        refund->is_positive() ? *refund : Money::Dollars(1000.0);
-    const Status funded = auctioneer.Fund(user, stake);
-    GM_ASSERT(funded.ok(), "parallel_runner: churn Fund failed");
-  }
-  ++shard.rounds_run;
-
   // Perturb the shard's standing bids from its private stream.
   for (int k = 0; k < config_.bidders_per_shard; ++k) {
     const Rate rate = Rate::MicrosPerSec(

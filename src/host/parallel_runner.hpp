@@ -52,12 +52,6 @@ struct ParallelRunnerConfig {
   /// Execute shards inline on the calling thread, in shard order, instead
   /// of on the pool. The determinism contract: identical results.
   bool serial = false;
-  /// Every N rounds each shard closes its first bidder's account
-  /// (reclaiming the escrowed balance) and reopens it before bidding
-  /// again — account removal and re-add inside one round. 0 disables.
-  /// Exercises the incremental spot-price path's remove/re-add handling
-  /// under the determinism contract.
-  int churn_every = 0;
 };
 
 struct ParallelRunReport {
@@ -102,8 +96,6 @@ class ParallelRunner {
   /// with kFailedPrecondition without shards or a federation.
   Result<ParallelRunReport> Run(int rounds);
 
-  const ParallelRunnerConfig& config() const { return config_; }
-
  private:
   struct PendingOp {
     std::string from;
@@ -116,9 +108,6 @@ class ParallelRunner {
     std::string host_account;
     Rng rng;
     bool prepared = false;
-    /// Rounds this shard has executed; drives the churn cadence. Shard
-    /// state, so it is identical under serial and pooled execution.
-    std::uint64_t rounds_run = 0;
     /// Written only by the worker running this shard during the parallel
     /// phase, read by the main thread after the barrier.
     std::vector<PendingOp> fed_ops;

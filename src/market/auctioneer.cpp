@@ -7,23 +7,32 @@
 
 namespace gm::market {
 
+namespace {
+
+/// Price-distribution slot count per statistics window.
+constexpr std::size_t kDistributionSlots = 20;
+// Initial slot-table coverage in $/s per cycles/s. Spot prices in a
+// lightly loaded market sit around 1e-16..1e-13 on 3 GHz hosts; start
+// fine-grained and let the table self-expand (doubling brackets) when
+// busier regimes push prices up.
+constexpr double kDistributionInitialMax = 1e-15;
+
+}  // namespace
+
 Auctioneer::Auctioneer(host::PhysicalHost& host, sim::Kernel& kernel,
                        AuctioneerConfig config)
     : host_(host), kernel_(kernel), config_(std::move(config)) {
-  GM_ASSERT(config_.interval > 0, "auction interval must be positive");
   // Not yet published to other threads; the lock purely satisfies the
   // static analysis on ResetWindowStats.
   gm::MutexLock lock(&mu_);
   ResetWindowStats();
-  sim::SimDuration retention = config_.history_retention;
-  if (retention == 0) {
-    // Bound memory at the longest span the prediction layer can read.
-    std::size_t longest = 0;
-    for (const auto& [name, n] : config_.stat_windows)
-      longest = std::max(longest, n);
-    retention = static_cast<sim::SimDuration>(longest) * config_.interval;
-  }
-  if (retention > 0) history_.SetRetention(retention);
+  // Bound memory at the longest span the prediction layer can read.
+  std::size_t longest = 0;
+  for (const auto& [name, n] : config_.stat_windows)
+    longest = std::max(longest, n);
+  if (longest > 0)
+    history_.SetRetention(static_cast<sim::SimDuration>(longest) *
+                          kAuctionInterval);
 }
 
 void Auctioneer::ResetWindowStats() {
@@ -32,8 +41,7 @@ void Auctioneer::ResetWindowStats() {
   for (const auto& [name, n] : config_.stat_windows) {
     moments_.emplace_back(name, WindowMoments(n));
     distributions_.emplace_back(
-        name, SlotTable(n, config_.distribution_slots,
-                        config_.distribution_initial_max));
+        name, SlotTable(n, kDistributionSlots, kDistributionInitialMax));
   }
 }
 
@@ -61,7 +69,7 @@ Auctioneer::~Auctioneer() { Stop(); }
 void Auctioneer::Start() {
   gm::MutexLock lock(&mu_);
   GM_ASSERT(!tick_handle_.valid(), "auctioneer already started");
-  tick_handle_ = kernel_.ScheduleEvery(config_.interval, config_.interval,
+  tick_handle_ = kernel_.ScheduleEvery(kAuctionInterval, kAuctionInterval,
                                        [this] { Tick(); });
 }
 
@@ -257,8 +265,8 @@ void Auctioneer::Tick() {
   // metrics kMetric, tracer kTracer are all above kAuctioneer).
   gm::MutexLock lock(&mu_);
   const sim::SimTime now = kernel_.now();
-  const sim::SimTime interval_start = now - config_.interval;
-  const double dt_seconds = sim::ToSeconds(config_.interval);
+  const sim::SimTime interval_start = now - kAuctionInterval;
+  const double dt_seconds = sim::ToSeconds(kAuctionInterval);
 
   bids_.ExpireUntil(now);
   tick_arena_.Reset();
@@ -271,7 +279,7 @@ void Auctioneer::Tick() {
   // asks for each runnable VM's weight directly — no weight map, no
   // VM-id string building.
   host_.AdvanceInterval(
-      interval_start, config_.interval,
+      interval_start, kAuctionInterval,
       [&](const host::VirtualMachine& vm) -> double {
         const BidTable::Slot s = bids_.Find(vm.owner());
         if (s == BidTable::kNoSlot) return 0.0;

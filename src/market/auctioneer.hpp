@@ -38,22 +38,18 @@
 
 namespace gm::market {
 
+/// The re-allocation interval: every auctioneer ticks this often
+/// (paper §2.2).
+constexpr sim::SimDuration kAuctionInterval = 10 * sim::kSecond;
+
 struct AuctioneerConfig {
-  sim::SimDuration interval = 10 * sim::kSecond;
-  /// Named statistics windows in snapshots (with a 10 s interval:
-  /// hour = 360, day = 8640, week = 60480).
+  /// Named statistics windows in snapshots (with the 10 s interval:
+  /// hour = 360, day = 8640, week = 60480). The longest window's span is
+  /// also the price-history retention horizon: it is all the prediction
+  /// models can ever read, and it bounds history memory on multi-week
+  /// runs.
   std::vector<std::pair<std::string, std::size_t>> stat_windows = {
       {"hour", 360}, {"day", 8640}, {"week", 60480}};
-  std::size_t distribution_slots = 20;
-  // Initial slot-table coverage in $/s per cycles/s. Spot prices in a
-  // lightly loaded market sit around 1e-16..1e-13 on 3 GHz hosts; start
-  // fine-grained and let the table self-expand (doubling brackets) when
-  // busier regimes push prices up.
-  double distribution_initial_max = 1e-15;
-  /// Price-history retention horizon. 0 = derive from the longest stat
-  /// window (its span is what the prediction models can ever read), which
-  /// bounds history memory on multi-week runs.
-  sim::SimDuration history_retention = 0;
   /// Cross-check the incremental sum against a full re-sum at every
   /// spot-price read. Exact integer comparison — any divergence is a
   /// bug, and GM_ASSERT aborts. Costs O(accounts) per read, so it
@@ -122,7 +118,6 @@ class Auctioneer {
     gm::MutexLock lock(&mu_);
     return revenue_;
   }
-  const AuctioneerConfig& config() const { return config_; }
 
   /// One allocation round; normally driven by the internal timer.
   void Tick();

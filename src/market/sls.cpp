@@ -17,14 +17,8 @@ constexpr std::uint64_t kSlsSnapshotVersion = 1;
 
 }  // namespace
 
-ServiceLocationService::ServiceLocationService(sim::Kernel& kernel,
-                                               sim::SimDuration record_ttl)
-    : kernel_(kernel), ttl_(record_ttl) {
-  GM_ASSERT(ttl_ > 0, "SLS ttl must be positive");
-}
-
 bool ServiceLocationService::Expired(const HostRecord& record) const {
-  return kernel_.now() - record.updated_at > ttl_;
+  return kernel_.now() - record.updated_at > kSlsRecordTtl;
 }
 
 void ServiceLocationService::Publish(HostRecord record) {
@@ -187,10 +181,9 @@ Status ServiceLocationService::LoadSnapshot(net::Reader& reader)
 
 SlsPublisher::SlsPublisher(Auctioneer& auctioneer,
                            ServiceLocationService& sls, std::string site,
-                           sim::Kernel& kernel, sim::SimDuration period,
-                           std::string stats_window)
+                           sim::Kernel& kernel, sim::SimDuration period)
     : auctioneer_(auctioneer), sls_(sls), site_(std::move(site)),
-      kernel_(kernel), stats_window_(std::move(stats_window)) {
+      kernel_(kernel) {
   PublishNow();
   timer_ = kernel_.ScheduleEvery(period, period, [this] { PublishNow(); });
 }
@@ -207,7 +200,7 @@ void SlsPublisher::PublishNow() {
   record.cpus = host.spec().cpus;
   record.cycles_per_cpu = host.PerCpuCapacity();
   record.price_per_capacity = auctioneer_.PricePerCapacity();
-  const auto moments = auctioneer_.Moments(stats_window_);
+  const auto moments = auctioneer_.Moments("day");
   if (moments.ok()) {
     record.mean_price = (*moments)->mean();
     record.stddev_price = (*moments)->stddev();

@@ -41,6 +41,9 @@ struct HostQuery {
   std::size_t limit = 0;         // 0 = unlimited
 };
 
+/// A record is live while it is at most this old.
+constexpr sim::SimDuration kSlsRecordTtl = sim::Minutes(5);
+
 /// Thread-safe: one mutex (rank kSls) guards the directory map, so
 /// heartbeats from concurrent auction shards and queries from broker
 /// threads serialize cleanly. Liveness checks read the sim clock, which
@@ -49,8 +52,7 @@ struct HostQuery {
 /// while mu_ is already held.
 class ServiceLocationService : public store::Recoverable {
  public:
-  explicit ServiceLocationService(sim::Kernel& kernel,
-                                  sim::SimDuration record_ttl = sim::Minutes(5));
+  explicit ServiceLocationService(sim::Kernel& kernel) : kernel_(kernel) {}
 
   /// Upsert a host record (heartbeat).
   void Publish(HostRecord record);
@@ -60,8 +62,6 @@ class ServiceLocationService : public store::Recoverable {
   /// Matching, unexpired records sorted by ascending spot price.
   std::vector<HostRecord> Query(const HostQuery& query) const;
   std::size_t live_count() const;
-  /// A record is live while it is at most this old.
-  sim::SimDuration ttl() const { return ttl_; }
 
   // -- durability --
   /// Journal every subsequent Publish/Remove into `s` (non-owning;
@@ -95,20 +95,19 @@ class ServiceLocationService : public store::Recoverable {
   bool Expired(const HostRecord& record) const;
 
   sim::Kernel& kernel_;
-  const sim::SimDuration ttl_;
   mutable gm::Mutex mu_{"market.sls", gm::lockrank::kSls};
   std::map<std::string, HostRecord> records_ GM_GUARDED_BY(mu_);
   store::DurableStore* store_ GM_GUARDED_BY(mu_) = nullptr;  // non-owning
   std::size_t stale_dropped_ GM_GUARDED_BY(mu_) = 0;
 };
 
-/// Publishes an auctioneer's state to the SLS on a heartbeat timer.
+/// Publishes an auctioneer's state to the SLS every `period`. Records
+/// advertise the statistics of the auctioneer's "day" window.
 class SlsPublisher {
  public:
   SlsPublisher(Auctioneer& auctioneer, ServiceLocationService& sls,
                std::string site, sim::Kernel& kernel,
-               sim::SimDuration period = sim::Minutes(1),
-               std::string stats_window = "day");
+               sim::SimDuration period);
   ~SlsPublisher();
   SlsPublisher(const SlsPublisher&) = delete;
   SlsPublisher& operator=(const SlsPublisher&) = delete;
@@ -120,7 +119,6 @@ class SlsPublisher {
   ServiceLocationService& sls_;
   std::string site_;
   sim::Kernel& kernel_;
-  std::string stats_window_;
   sim::EventHandle timer_;
 };
 

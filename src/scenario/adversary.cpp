@@ -21,40 +21,30 @@ std::uint64_t PoissonCount(double rate_per_sec, sim::SimDuration dt,
 AdversaryModel::AdversaryModel(AdversaryConfig config) : config_(config) {
   GM_ASSERT(config_.snipe_rate_per_sec == 0.0 || config_.snipers > 0,
             "sniping needs a sniper population");
-  GM_ASSERT(config_.flood_budget.is_positive(),
-            "flood budget must be positive (zero-balance bids never run)");
 }
 
-bool AdversaryModel::ActiveAt(sim::SimTime now) const {
-  if (!config_.any_enabled()) return false;
-  if (now < config_.active_from) return false;
-  return config_.active_until <= 0 || now < config_.active_until;
-}
-
-std::vector<SnipeBid> AdversaryModel::SnipeBids(sim::SimTime now,
+std::vector<SnipeBid> AdversaryModel::SnipeBids(sim::SimTime /*now*/,
                                                 sim::SimDuration dt,
                                                 double share, Rng& rng) const {
   std::vector<SnipeBid> bids;
-  if (!ActiveAt(now)) return bids;
   const std::uint64_t n =
       PoissonCount(config_.snipe_rate_per_sec, dt, share, rng);
   bids.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     SnipeBid bid;
     bid.sniper = rng.NextBelow(config_.snipers);
-    bid.rate = config_.snipe_max_rate * rng.NextDouble();
-    bid.fund = config_.snipe_fund;
+    bid.rate = kSnipeMaxRate * rng.NextDouble();
+    bid.fund = kSnipeFund;
     bids.push_back(bid);
   }
   return bids;
 }
 
-std::vector<JobOrder> AdversaryModel::FloodOrders(sim::SimTime now,
+std::vector<JobOrder> AdversaryModel::FloodOrders(sim::SimTime /*now*/,
                                                   sim::SimDuration dt,
                                                   double share,
                                                   Rng& rng) const {
   std::vector<JobOrder> orders;
-  if (!ActiveAt(now)) return orders;
   const std::uint64_t n =
       PoissonCount(config_.flood_rate_per_sec, dt, share, rng);
   orders.reserve(n);
@@ -62,10 +52,10 @@ std::vector<JobOrder> AdversaryModel::FloodOrders(sim::SimTime now,
     JobOrder order;
     order.hostile = true;
     order.user = rng.Next();  // throwaway identity per hostile job
-    order.size = config_.flood_size;
-    // Uniform in (0, flood_budget]: never zero (a zero-balance bid is
+    order.size = kFloodSize;
+    // Uniform in (0, kFloodBudget]: never zero (a zero-balance bid is
     // inert and would not even reach the admission queue).
-    const Micros cap = config_.flood_budget.micros();
+    const Micros cap = kFloodBudget.micros();
     order.budget = Money::FromMicros(
         1 + static_cast<Micros>(rng.NextBelow(static_cast<std::uint64_t>(cap))));
     order.deadline = 5 * sim::kMinute;
@@ -75,10 +65,9 @@ std::vector<JobOrder> AdversaryModel::FloodOrders(sim::SimTime now,
 }
 
 std::vector<ReplayProbe> AdversaryModel::ReplayIds(
-    sim::SimTime now, sim::SimDuration dt, double share,
+    sim::SimTime /*now*/, sim::SimDuration dt, double share,
     std::uint64_t shard_hint, std::uint64_t seq_hint, Rng& rng) const {
   std::vector<ReplayProbe> probes;
-  if (!ActiveAt(now)) return probes;
   const std::uint64_t n =
       PoissonCount(config_.replay_rate_per_sec, dt, share, rng);
   probes.reserve(n);

@@ -15,7 +15,9 @@
 //
 // Like TrafficModel, every method is a pure function of (config, explicit
 // arguments, the caller's Rng stream) — no mutable state — so a seed
-// reproduces the same attack stream bit-for-bit.
+// reproduces the same attack stream bit-for-bit. Adversaries are active
+// for the whole run: the interval start `now` each method takes does not
+// change what it draws.
 #pragma once
 
 #include <cstdint>
@@ -43,21 +45,26 @@ struct ReplayProbe {
   std::string settlement_id;
 };
 
+/// A sniper re-bids at a rate uniform in [0, kSnipeMaxRate) and
+/// deposits kSnipeFund behind the bid.
+constexpr Rate kSnipeMaxRate = Rate::DollarsPerSec(0.05);
+constexpr Money kSnipeFund = Money::Dollars(0.25);
+/// A flood job asks for kFloodSize cycles on a budget uniform in
+/// (0, kFloodBudget].
+constexpr Money kFloodBudget = Money::FromMicros(2'000);  // $0.002
+constexpr Cycles kFloodSize = 60.0e9;
+static_assert(kFloodBudget.is_positive(),
+              "zero-balance flood bids would never run");
+
 struct AdversaryConfig {
   /// Bid snipers: `snipers` distinct identities; each round a
-  /// Poisson(snipe_rate_per_sec * dt) number of them re-bid at a rate
-  /// uniform in [0, snipe_max_rate).
+  /// Poisson(snipe_rate_per_sec * dt) number of them re-bid.
   std::uint64_t snipers = 0;
   double snipe_rate_per_sec = 0.0;
-  Rate snipe_max_rate = Rate::DollarsPerSec(0.05);
-  Money snipe_fund = Money::Dollars(0.25);
 
   /// Flooders: Poisson(flood_rate_per_sec * dt) hostile job orders per
-  /// interval, each with a tiny budget drawn uniform in
-  /// (0, flood_budget].
+  /// interval.
   double flood_rate_per_sec = 0.0;
-  Money flood_budget = Money::FromMicros(2'000);  // $0.002
-  Cycles flood_size = 60.0e9;
 
   /// Replayers: Poisson(replay_rate_per_sec * dt) probes per interval.
   /// Each probe synthesizes a plausible settlement id "s<shard>-<seq>"
@@ -65,16 +72,6 @@ struct AdversaryConfig {
   /// protocol mints ids deterministically, so an attacker who has seen
   /// traffic can guess live ids; the registry must still refuse them.
   double replay_rate_per_sec = 0.0;
-
-  /// Adversaries switch on only inside [active_from, active_until);
-  /// active_until <= 0 means "until the end of the run".
-  sim::SimTime active_from = 0;
-  sim::SimTime active_until = 0;
-
-  bool any_enabled() const {
-    return snipe_rate_per_sec > 0.0 || flood_rate_per_sec > 0.0 ||
-           replay_rate_per_sec > 0.0;
-  }
 };
 
 class AdversaryModel {
@@ -82,7 +79,6 @@ class AdversaryModel {
   explicit AdversaryModel(AdversaryConfig config);
 
   const AdversaryConfig& config() const { return config_; }
-  bool ActiveAt(sim::SimTime now) const;
 
   /// Sniper bids to (re-)place in [now, now + dt), scaled by `share`.
   std::vector<SnipeBid> SnipeBids(sim::SimTime now, sim::SimDuration dt,

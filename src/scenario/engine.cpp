@@ -24,6 +24,11 @@ std::uint64_t ShardStreamSeed(std::uint64_t seed, std::uint64_t shard,
 
 namespace {
 
+/// Recovery envelope: after the flash ends, an epoch whose peak queue
+/// depth is back within this many times the worst pre-flash epoch peak
+/// counts as recovered.
+constexpr double kRecoverySlack = 2.0;
+
 // FNV-1a 64-bit. Local on purpose: the scenario layer must not pull in
 // crypto/ for a non-adversarial checksum, and FNV is enough to make any
 // run-to-run divergence visible.
@@ -96,7 +101,7 @@ ScenarioResult ScenarioEngine::Run(ScenarioBackend& backend) const {
     if (flash_end >= 0 && result.flash_recovery < 0 &&
         telem.start >= flash_end) {
       const auto envelope = static_cast<std::size_t>(
-          config_.recovery_slack *
+          kRecoverySlack *
           static_cast<double>(std::max<std::size_t>(1, pre_flash_peak)));
       if (telem.max_queue_depth <= envelope)
         result.flash_recovery = telem.end - flash_end;

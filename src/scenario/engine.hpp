@@ -42,10 +42,6 @@ struct ScenarioConfig {
   std::uint64_t seed = 42;
   int epochs = 12;
   sim::SimDuration epoch_duration = 5 * sim::kMinute;
-  /// Recovery envelope: after the flash ends, an epoch whose peak queue
-  /// depth is back within `recovery_slack` times the worst pre-flash
-  /// epoch peak counts as recovered.
-  double recovery_slack = 2.0;
 };
 
 /// One concrete system-under-test. Implementations advance their own sim
@@ -81,8 +77,6 @@ struct ScenarioResult {
 class ScenarioEngine {
  public:
   explicit ScenarioEngine(ScenarioConfig config);
-
-  const ScenarioConfig& config() const { return config_; }
 
   ScenarioResult Run(ScenarioBackend& backend) const;
 

@@ -5,8 +5,17 @@
 
 namespace gm::scenario {
 
-GridScenarioBackend::GridScenarioBackend(ScenarioConfig scenario)
-    : GridScenarioBackend(std::move(scenario), Options()) {}
+namespace {
+
+/// Initial funds of every registered identity, hostile or honest.
+constexpr Money kIdentityFunds = Money::Dollars(50'000);
+/// Sub-epoch step; arrivals are sampled per step.
+constexpr sim::SimDuration kStep = 10 * sim::kSecond;
+/// Per-arrival federation mirror transfer (keeps two-phase settlement
+/// hot so the reported p99 measures live traffic).
+constexpr Money kMirrorAmount = Money::FromMicros(50'000);
+
+}  // namespace
 
 GridScenarioBackend::GridScenarioBackend(ScenarioConfig scenario,
                                          Options options)
@@ -21,12 +30,12 @@ GridScenarioBackend::GridScenarioBackend(ScenarioConfig scenario,
   grid_ = std::make_unique<GridMarket>(options_.grid);
   for (std::uint64_t i = 0; i < options_.identities; ++i) {
     const Status s =
-        grid_->RegisterUser(IdentityFor(i), options_.identity_funds);
+        grid_->RegisterUser(IdentityFor(i), kIdentityFunds);
     GM_ASSERT(s.ok(), "scenario identity registration failed");
   }
   // The flood adversary submits through its own registered identity so
   // hostile spending is isolated from the honest population's wallets.
-  const Status s = grid_->RegisterUser("mallory", options_.identity_funds);
+  const Status s = grid_->RegisterUser("mallory", kIdentityFunds);
   GM_ASSERT(s.ok(), "adversary identity registration failed");
 }
 
@@ -69,7 +78,7 @@ void GridScenarioBackend::SubmitOrder(const JobOrder& order,
           .id();
   ++mirror_transfers_;
   (void)grid_->federation()->Transfer("user:" + identity, host_account,
-                                      options_.mirror_amount, grid_->now());
+                                      kMirrorAmount, grid_->now());
 }
 
 void GridScenarioBackend::ReplayBrokerToken(EpochTelemetry& out) {
@@ -104,13 +113,13 @@ void GridScenarioBackend::RunAdversaries(sim::SimTime now, Rng& rng,
   // Flood: real submissions through the broker under the hostile
   // identity; price priority and deadline expiry must contain them.
   for (const JobOrder& order :
-       adversary_.FloodOrders(now, options_.step, 1.0, rng))
+       adversary_.FloodOrders(now, kStep, 1.0, rng))
     SubmitOrder(order, "mallory", out);
 
   // Snipe: short-deadline bids straight onto host auctioneers, re-placed
   // (fresh rate) every step — bid churn around the auction tick.
   for (const SnipeBid& bid :
-       adversary_.SnipeBids(now, options_.step, 1.0, rng)) {
+       adversary_.SnipeBids(now, kStep, 1.0, rng)) {
     market::Auctioneer& auctioneer =
         grid_->auctioneer(static_cast<std::size_t>(bid.sniper) %
                           grid_->host_count());
@@ -120,14 +129,14 @@ void GridScenarioBackend::RunAdversaries(sim::SimTime now, Rng& rng,
           !auctioneer.Fund(account, bid.fund).ok())
         continue;
     }
-    if (auctioneer.SetBid(account, bid.rate, now + options_.step).ok())
+    if (auctioneer.SetBid(account, bid.rate, now + kStep).ok())
       ++out.snipe_bids;
   }
 
   // Replay: probe the federation's settlement registry with plausible
   // settlement ids, plus one real broker-token replay per step.
   const std::vector<ReplayProbe> probes = adversary_.ReplayIds(
-      now, options_.step, 1.0, grid_->bank_shard_count(),
+      now, kStep, 1.0, grid_->bank_shard_count(),
       std::max<std::uint64_t>(1, mirror_transfers_), rng);
   for (const ReplayProbe& probe : probes) {
     ++out.replay_attempts;
@@ -142,7 +151,7 @@ void GridScenarioBackend::RunAdversaries(sim::SimTime now, Rng& rng,
 void GridScenarioBackend::RunEpoch(int epoch, EpochTelemetry& out) {
   out.epoch = epoch;
   out.start = grid_->now();
-  const int steps = static_cast<int>(scenario_.epoch_duration / options_.step);
+  const int steps = static_cast<int>(scenario_.epoch_duration / kStep);
   GM_ASSERT(steps > 0, "epoch shorter than one step");
 
   for (int s = 0; s < steps; ++s) {
@@ -153,14 +162,14 @@ void GridScenarioBackend::RunEpoch(int epoch, EpochTelemetry& out) {
     ++round_;
 
     const std::uint64_t n =
-        traffic_.SampleArrivals(now, options_.step, 1.0, rng);
+        traffic_.SampleArrivals(now, kStep, 1.0, rng);
     for (std::uint64_t i = 0; i < n; ++i) {
       const JobOrder order = traffic_.SampleOrder(rng);
       SubmitOrder(order, IdentityFor(order.user), out);
     }
     RunAdversaries(now, rng, out);
 
-    grid_->RunFor(options_.step);
+    grid_->RunFor(kStep);
     out.max_queue_depth =
         std::max(out.max_queue_depth, grid_->broker().QueueDepth());
   }

@@ -16,7 +16,8 @@
 //
 // Every job arrival also mirrors a small federation transfer
 // user:<name> -> host:<id>, which keeps the two-phase settlement path
-// (and its latency histogram, the SLO p99 input) under live load.
+// (and its latency histogram, the reported settlement p99) under live
+// load.
 #pragma once
 
 #include <cstdint>
@@ -36,16 +37,9 @@ class GridScenarioBackend : public ScenarioBackend {
     GridMarket::Config grid;
     /// Registered Grid identities the open-loop population folds onto.
     std::uint64_t identities = 16;
-    Money identity_funds = Money::Dollars(50'000);
-    /// Sub-epoch step; arrivals are sampled per step.
-    sim::SimDuration step = 10 * sim::kSecond;
-    /// Per-arrival federation mirror transfer (keeps two-phase
-    /// settlement hot so the p99 SLO measures live traffic).
-    Money mirror_amount = Money::FromMicros(50'000);
   };
 
   GridScenarioBackend(ScenarioConfig scenario, Options options);
-  explicit GridScenarioBackend(ScenarioConfig scenario);
 
   void RunEpoch(int epoch, EpochTelemetry& out) override;
   std::string LedgerHash() override;

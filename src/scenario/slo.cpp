@@ -22,19 +22,11 @@ void SloChecker::Check(const EpochTelemetry& epoch) {
                 " exceeds bound " + std::to_string(config_.max_queue_depth));
   }
 
-  if (epoch.worst_wait_ratio > config_.starvation_multiple) {
+  if (epoch.worst_wait_ratio > kStarvationMultiple) {
     Violate(epoch, "starvation",
             "honest job waited " + std::to_string(epoch.worst_wait_ratio) +
                 "x its deadline (limit " +
-                std::to_string(config_.starvation_multiple) + "x)");
-  }
-
-  if (config_.enforce_settle_p99 &&
-      epoch.settle_p99_ns > config_.settle_p99_ns_limit) {
-    Violate(epoch, "settlement-p99",
-            "settlement p99 " + std::to_string(epoch.settle_p99_ns) +
-                "ns exceeds " + std::to_string(config_.settle_p99_ns_limit) +
-                "ns");
+                std::to_string(kStarvationMultiple) + "x)");
   }
 
   // Conservation is exact by construction of the integer ledger; any

@@ -60,23 +60,15 @@ JobOrder TrafficModel::SampleOrder(Rng& rng) const {
   // next sample), breaking the per-stream determinism contract.
   JobOrder order;
   order.user = rng.NextBelow(config_.users);
-  double size;
-  if (config_.size_model == TrafficConfig::SizeModel::kPareto) {
-    size = math::ParetoSampler(config_.pareto_alpha, config_.size_scale)
-               .Sample(rng);
-  } else {
-    size = math::LognormalSampler(config_.lognormal_mu, config_.lognormal_sigma)
-               .Sample(rng);
-  }
-  order.size = std::min(size, config_.size_cap);
+  order.size = std::min(
+      math::ParetoSampler(kParetoAlpha, kSizeScale).Sample(rng), kSizeCap);
   const double budget_dollars =
-      math::LognormalSampler(config_.budget_mu, config_.budget_sigma)
-          .Sample(rng);
+      math::LognormalSampler(kBudgetMu, kBudgetSigma).Sample(rng);
   order.budget = Min(Money::Dollars(budget_dollars), config_.budget_cap);
   if (!order.budget.is_positive()) order.budget = Money::FromMicros(1);
   const double ideal_secs = order.size / config_.reference_capacity;
-  order.deadline = std::max(config_.deadline_floor,
-                            sim::Seconds(config_.deadline_slack * ideal_secs));
+  order.deadline =
+      std::max(kDeadlineFloor, sim::Seconds(kDeadlineSlack * ideal_secs));
   return order;
 }
 

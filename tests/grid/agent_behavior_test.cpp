@@ -125,17 +125,16 @@ TEST_F(AgentBehaviorTest, SoftDeadlineJobFinishesAfterWallTime) {
 
 TEST_F(AgentBehaviorTest, HopelessJobIsReapedAtExpiryFactor) {
   AddHost("h0");
-  PluginConfig config;
-  config.expiry_factor = 2.0;
-  BuildPlugin(config);
-  // 60 min of work, wallTime 5 min, reap at 10 min: cannot finish.
+  BuildPlugin({});
+  // 60 min of work, wallTime 5 min, reap at 4 x 5 = 20 min: cannot
+  // finish.
   const auto id = broker_->Submit(Xrsl(1, 30, 2.0, 5.0),
                                   Pay(Money::Dollars(50)));
   ASSERT_TRUE(id.ok());
   kernel_.RunUntil(sim::Minutes(30));
   const JobRecord& job = **broker_->Job(*id);
   EXPECT_EQ(job.state, JobState::kExpired);
-  EXPECT_EQ(job.finished_at, sim::Minutes(10));
+  EXPECT_EQ(job.finished_at, sim::Minutes(5 * kExpiryFactor));
 }
 
 TEST_F(AgentBehaviorTest, SpeculationRescuesStragglers) {
@@ -177,7 +176,6 @@ TEST_F(AgentBehaviorTest, WithoutSpeculationStragglersBlock) {
   AddTenant(contested, /*rate=*/10);
   PluginConfig config;
   config.speculative_execution = false;
-  config.expiry_factor = 3.0;
   BuildPlugin(config);
   const auto id = broker_->Submit(Xrsl(2, 4, 1.0, 20.0),
                                   Pay(Money::Dollars(20)));

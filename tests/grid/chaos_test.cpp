@@ -39,7 +39,6 @@ class ChaosTest : public ::testing::Test {
 
     PluginConfig config;
     config.reference_capacity = 100.0;
-    config.stage_bandwidth_mb_per_s = 50.0;
     plugin_ = std::make_unique<TycoonSchedulerPlugin>(
         kernel_, sls_, bank_, host::PackageCatalog::Default(), config);
     broker_ = std::make_unique<GridBroker>(kernel_, bank_, *authorizer_,

@@ -30,7 +30,6 @@ class EndToEndTest : public ::testing::Test {
 
     PluginConfig config;
     config.reference_capacity = 100.0;  // 1 cpu-minute == 6000 cycles
-    config.stage_bandwidth_mb_per_s = 50.0;
     plugin_ = std::make_unique<TycoonSchedulerPlugin>(
         kernel_, sls_, bank_, host::PackageCatalog::Default(), config);
     broker_ = std::make_unique<GridBroker>(kernel_, bank_, *authorizer_,

@@ -62,6 +62,10 @@ CASES = [
     ("good_money_conservation.cpp", "money-conservation", 0),
     # A close through a virtual call counts only if every override closes.
     ("bad_money_virtual_close.cpp", "money-conservation", 3),
+    # A brace-less if / for body is a block of its own, like its braced
+    # form: a close inside it covers only that path.
+    ("bad_money_nullable_close.cpp", "money-conservation", 4),
+    ("good_money_nullable_close.cpp", "money-conservation", 0),
     # Suppression extents: allow() covers the whole statement, but only
     # for the named rule and never a statement above the directive.
     ("good_multiline_allow.cpp", "float-money-eq", 0),

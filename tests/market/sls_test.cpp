@@ -27,7 +27,7 @@ HostRecord MakeRecord(const std::string& id, double price,
 class SlsTest : public ::testing::Test {
  protected:
   sim::Kernel kernel_;
-  ServiceLocationService sls_{kernel_, Minutes(5)};
+  ServiceLocationService sls_{kernel_};
 };
 
 TEST_F(SlsTest, PublishAndLookup) {
@@ -178,7 +178,7 @@ TEST(SlsDurabilityTest, RecoveryRevalidatesLiveness) {
   auto store = store::DurableStore::Open(dir.string());
   ASSERT_TRUE(store.ok());
   sim::Kernel kernel;
-  ServiceLocationService sls(kernel, sim::Minutes(5));
+  ServiceLocationService sls(kernel);
   sls.AttachStore(store->get());
   sls.Publish(MakeRecord("stale-host", 0.5));  // heartbeat at t=0
   kernel.RunUntil(sim::Minutes(10));
@@ -187,7 +187,7 @@ TEST(SlsDurabilityTest, RecoveryRevalidatesLiveness) {
   // The host directory a recovering SLS replays contains both
   // registrations, but stale-host's TTL lapsed while it was down: it
   // must not be resurrected as a live allocation target.
-  ServiceLocationService recovered(kernel, sim::Minutes(5));
+  ServiceLocationService recovered(kernel);
   recovered.AttachStore(store->get());
   ASSERT_TRUE(recovered.RecoverFromStore().ok());
   EXPECT_EQ(recovered.stale_dropped(), 1u);

@@ -1,5 +1,5 @@
-// AdversaryModel: activity window gating, flood/snipe/replay sampling
-// bounds, and the same purity/determinism contract as TrafficModel.
+// AdversaryModel: a disabled model draws nothing, flood/snipe/replay
+// sampling bounds, and the same purity/determinism contract as TrafficModel.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -21,37 +21,18 @@ AdversaryConfig AllOn() {
 }
 
 TEST(AdversaryModelTest, DisabledModelIsNeverActive) {
+  // All rates zero: every sampler returns nothing and leaves the
+  // caller's RNG stream untouched.
   AdversaryModel model{AdversaryConfig{}};
-  EXPECT_FALSE(model.config().any_enabled());
-  EXPECT_FALSE(model.ActiveAt(0));
-  EXPECT_FALSE(model.ActiveAt(sim::kDay));
-}
-
-TEST(AdversaryModelTest, ActivityWindowGatesEverySampler) {
-  AdversaryConfig config = AllOn();
-  config.active_from = 100 * sim::kSecond;
-  config.active_until = 200 * sim::kSecond;
-  AdversaryModel model(config);
-
-  EXPECT_FALSE(model.ActiveAt(99 * sim::kSecond));
-  EXPECT_TRUE(model.ActiveAt(100 * sim::kSecond));
-  EXPECT_TRUE(model.ActiveAt(199 * sim::kSecond));
-  EXPECT_FALSE(model.ActiveAt(200 * sim::kSecond));
-
   Rng rng(1);
-  const sim::SimTime outside = 50 * sim::kSecond;
   const sim::SimDuration dt = 10 * sim::kSecond;
-  EXPECT_TRUE(model.SnipeBids(outside, dt, 1.0, rng).empty());
-  EXPECT_TRUE(model.FloodOrders(outside, dt, 1.0, rng).empty());
-  EXPECT_TRUE(model.ReplayIds(outside, dt, 1.0, 4, 100, rng).empty());
-}
-
-TEST(AdversaryModelTest, ZeroActiveUntilMeansForever) {
-  AdversaryConfig config = AllOn();
-  config.active_until = 0;
-  AdversaryModel model(config);
-  EXPECT_TRUE(model.ActiveAt(0));
-  EXPECT_TRUE(model.ActiveAt(365 * sim::kDay));
+  for (const sim::SimTime now : {sim::SimTime{0}, sim::kDay}) {
+    EXPECT_TRUE(model.SnipeBids(now, dt, 1.0, rng).empty());
+    EXPECT_TRUE(model.FloodOrders(now, dt, 1.0, rng).empty());
+    EXPECT_TRUE(model.ReplayIds(now, dt, 1.0, 4, 100, rng).empty());
+  }
+  Rng untouched(1);
+  EXPECT_EQ(rng.Next(), untouched.Next());
 }
 
 TEST(AdversaryModelTest, SnipeBidsStayInBounds) {
@@ -65,8 +46,8 @@ TEST(AdversaryModelTest, SnipeBidsStayInBounds) {
       EXPECT_LT(bid.sniper, model.config().snipers);
       EXPECT_GE(bid.rate.micros_per_sec(), 0);
       EXPECT_LE(bid.rate.micros_per_sec(),
-                model.config().snipe_max_rate.micros_per_sec());
-      EXPECT_EQ(bid.fund, model.config().snipe_fund);
+                kSnipeMaxRate.micros_per_sec());
+      EXPECT_EQ(bid.fund, kSnipeFund);
     }
   }
   EXPECT_GT(total, 0u);  // mean 20/step over 50 steps
@@ -82,8 +63,8 @@ TEST(AdversaryModelTest, FloodOrdersAreHostileWithTinyPositiveBudgets) {
       ++total;
       EXPECT_TRUE(order.hostile);
       EXPECT_TRUE(order.budget.is_positive());
-      EXPECT_LE(order.budget, model.config().flood_budget);
-      EXPECT_EQ(order.size, model.config().flood_size);
+      EXPECT_LE(order.budget, kFloodBudget);
+      EXPECT_EQ(order.size, kFloodSize);
       EXPECT_GT(order.deadline, 0);
     }
   }

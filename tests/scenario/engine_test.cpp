@@ -115,11 +115,10 @@ TEST(ScenarioEngineTest, FlashRecoveryMeasuredFromFlashEnd) {
   ScenarioConfig config = FiveEpochConfig();
   config.traffic.flash_start = 10 * sim::kMinute;  // inside epoch 2
   config.traffic.flash_duration = 2 * sim::kMinute;
-  config.recovery_slack = 2.0;
 
-  // Pre-flash peak = 12 -> envelope 24. Epoch 3 (depth 100) is still
-  // over; epoch 4 (depth 20) recovers. flash_end = 12 min, epoch 4 ends
-  // at 25 min -> recovery = 13 min.
+  // Pre-flash peak = 12 -> envelope 2 * 12 = 24. Epoch 3 (depth 100) is
+  // still over; epoch 4 (depth 20) recovers. flash_end = 12 min, epoch 4
+  // ends at 25 min -> recovery = 13 min.
   FakeBackend backend(FiveMinuteRows({10, 12, 500, 100, 20}));
   const ScenarioResult result = ScenarioEngine(config).Run(backend);
   EXPECT_EQ(result.flash_recovery, 13 * sim::kMinute);

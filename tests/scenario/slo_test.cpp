@@ -48,30 +48,23 @@ TEST(SloCheckerTest, QueueDepthBoundIsEnforced) {
 }
 
 TEST(SloCheckerTest, StarvationMultipleIsEnforced) {
-  SloChecker checker{SloConfig{}};  // starvation_multiple = 4.0
+  SloChecker checker{SloConfig{}};
   EpochTelemetry telem = CleanEpoch();
-  telem.worst_wait_ratio = 4.5;
+  telem.worst_wait_ratio = kStarvationMultiple + 0.5;
   checker.Check(telem);
   ASSERT_EQ(checker.report().violations.size(), 1u);
   EXPECT_EQ(checker.report().violations[0].invariant, "starvation");
 }
 
-TEST(SloCheckerTest, SettlementP99CanBeEnforcedOrReportedOnly) {
+TEST(SloCheckerTest, SettlementP99IsReportedOnly) {
+  // Wall-clock latency is nondeterministic, so it is reported but kept
+  // out of pass/fail: verdicts do not depend on the machine.
   EpochTelemetry telem = CleanEpoch();
-  telem.settle_p99_ns = 6.0e6;  // over the 5 ms default limit
-
-  SloConfig enforced;
-  enforced.enforce_settle_p99 = true;
-  SloChecker enforcing(enforced);
-  enforcing.Check(telem);
-  ASSERT_EQ(enforcing.report().violations.size(), 1u);
-  EXPECT_EQ(enforcing.report().violations[0].invariant, "settlement-p99");
-
-  // Wall-clock latency is nondeterministic, so by default it is reported
-  // but kept out of pass/fail: verdicts do not depend on the machine.
-  SloChecker reporting{SloConfig{}};
-  reporting.Check(telem);
-  EXPECT_TRUE(reporting.report().passed);
+  telem.settle_p99_ns = 6.0e9;  // a 6 s p99 still passes
+  SloChecker checker{SloConfig{}};
+  checker.Check(telem);
+  EXPECT_TRUE(checker.report().passed);
+  EXPECT_TRUE(checker.report().violations.empty());
 }
 
 TEST(SloCheckerTest, ConservationIsExact) {

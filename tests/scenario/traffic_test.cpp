@@ -102,45 +102,32 @@ TEST(TrafficModelTest, ZeroShareYieldsZeroArrivals) {
 TEST(TrafficModelTest, ParetoOrdersStayInBounds) {
   TrafficConfig config;
   config.users = 1000;
-  config.size_model = TrafficConfig::SizeModel::kPareto;
   TrafficModel model(config);
   Rng rng(99);
   for (int i = 0; i < 4000; ++i) {
     const JobOrder order = model.SampleOrder(rng);
     EXPECT_LT(order.user, config.users);
-    EXPECT_GE(order.size, config.size_scale);  // Pareto minimum = scale
-    EXPECT_LE(order.size, config.size_cap);
+    EXPECT_GE(order.size, kSizeScale);  // Pareto minimum = scale
+    EXPECT_LE(order.size, kSizeCap);
     EXPECT_TRUE(order.budget.is_positive());
     EXPECT_LE(order.budget, config.budget_cap);
-    EXPECT_GE(order.deadline, config.deadline_floor);
+    EXPECT_GE(order.deadline, kDeadlineFloor);
     EXPECT_FALSE(order.hostile);
   }
 }
 
 TEST(TrafficModelTest, SizeCapTruncatesTheTail) {
-  TrafficConfig config;
-  config.size_cap = 2 * config.size_scale;  // P(X > 2*scale) = 2^-1.6
-  TrafficModel model(config);
+  // P(X > kSizeCap) = (kSizeScale / kSizeCap)^1.6 = 200^-1.6 ~ 2e-4, so
+  // 100k orders reach the cap about 20 times.
+  TrafficModel model(TrafficConfig{});
   Rng rng(17);
-  bool saw_capped = false;
-  for (int i = 0; i < 200; ++i) {
+  int capped = 0;
+  for (int i = 0; i < 100'000; ++i) {
     const JobOrder order = model.SampleOrder(rng);
-    EXPECT_LE(order.size, config.size_cap);
-    if (order.size == config.size_cap) saw_capped = true;
+    EXPECT_LE(order.size, kSizeCap);
+    if (order.size == kSizeCap) ++capped;
   }
-  EXPECT_TRUE(saw_capped);
-}
-
-TEST(TrafficModelTest, LognormalOrdersRespectCap) {
-  TrafficConfig config;
-  config.size_model = TrafficConfig::SizeModel::kLognormal;
-  TrafficModel model(config);
-  Rng rng(5);
-  for (int i = 0; i < 2000; ++i) {
-    const JobOrder order = model.SampleOrder(rng);
-    EXPECT_GT(order.size, 0.0);
-    EXPECT_LE(order.size, config.size_cap);
-  }
+  EXPECT_GT(capped, 0);
 }
 
 TEST(TrafficModelTest, DeadlineScalesWithJobSize) {
@@ -150,9 +137,8 @@ TEST(TrafficModelTest, DeadlineScalesWithJobSize) {
   for (int i = 0; i < 2000; ++i) {
     const JobOrder order = model.SampleOrder(rng);
     const double ideal_secs = order.size / config.reference_capacity;
-    const sim::SimDuration scaled =
-        sim::Seconds(config.deadline_slack * ideal_secs);
-    EXPECT_EQ(order.deadline, std::max(config.deadline_floor, scaled));
+    const sim::SimDuration scaled = sim::Seconds(kDeadlineSlack * ideal_secs);
+    EXPECT_EQ(order.deadline, std::max(kDeadlineFloor, scaled));
   }
 }
 
