@@ -176,6 +176,24 @@ void BM_KernelEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelEventThroughput);
 
+// The paper testbed's timer mix: 30 hosts' auction ticks every 10 s plus
+// one 1 min timer, fired over 100 auction intervals per iteration.
+void BM_KernelPeriodicTimers(benchmark::State& state) {
+  sim::Kernel kernel;
+  for (int host = 0; host < 30; ++host)
+    kernel.ScheduleEvery(market::kAuctionInterval, market::kAuctionInterval,
+                         [] {});
+  kernel.ScheduleEvery(sim::kMinute, sim::kMinute, [] {});
+  std::int64_t fired = 0;
+  for (auto _ : state) {
+    fired += static_cast<std::int64_t>(
+        kernel.RunUntil(kernel.now() + 100 * market::kAuctionInterval));
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(fired);
+}
+BENCHMARK(BM_KernelPeriodicTimers);
+
 void BM_LuSolve(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(8);

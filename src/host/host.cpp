@@ -130,60 +130,29 @@ std::vector<VirtualMachine*> PhysicalHost::vms() {
   return out;
 }
 
-void PhysicalHost::AdvanceInterval(
-    sim::SimTime start, sim::SimDuration dt,
-    const std::function<double(const VirtualMachine&)>& weight_of,
-    Arena& scratch, std::vector<AllocationSlice>& out) {
+void PhysicalHost::RunParticipants(sim::SimTime start, sim::SimDuration dt,
+                                   VirtualMachine* const* participants,
+                                   const double* weights, std::size_t n,
+                                   Arena& scratch,
+                                   std::vector<AllocationSlice>& out) {
   out.clear();
-  // Runnable VMs with positive weight take part in the auction round.
-  auto participants = MakeArenaVector<VirtualMachine*>(scratch, vms_.size());
-  auto participant_weights = MakeArenaVector<double>(scratch, vms_.size());
-  const sim::SimTime end = start + dt;
-  for (auto& [id, vm] : vms_) {
-    if (vm->destroyed()) continue;
-    // A VM becoming ready mid-interval still participates for its tail.
-    if (!vm->HasWork() || vm->ready_at() >= end) continue;
-    const double w = weight_of(*vm);
-    if (w <= 0) continue;
-    participants.push_back(vm.get());
-    participant_weights.push_back(w);
-  }
+  auto granted = MakeArenaVector<double>(scratch, n);
+  granted.resize(n);
+  ProportionalShareWithCapInto(weights, n, TotalCapacity(), PerCpuCapacity(),
+                               spec_.work_conserving, scratch, granted.data());
 
-  auto granted = MakeArenaVector<double>(scratch, participants.size());
-  granted.resize(participants.size());
-  ProportionalShareWithCapInto(participant_weights.data(),
-                               participant_weights.size(), TotalCapacity(),
-                               PerCpuCapacity(), spec_.work_conserving,
-                               scratch, granted.data());
-
-  out.reserve(participants.size());
-  for (std::size_t i = 0; i < participants.size(); ++i) {
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     AllocationSlice slice;
-    slice.vm_id = participants[i]->id();
     slice.vm = participants[i];
-    slice.weight = participant_weights[i];
+    slice.weight = weights[i];
     slice.granted = granted[i];
     slice.used = participants[i]->Advance(start, dt, granted[i]);
     const Cycles offered = granted[i] * sim::ToSeconds(dt);
     slice.used_fraction = offered > 0 ? slice.used / offered : 0.0;
     delivered_cycles_ += slice.used;
-    out.push_back(std::move(slice));
+    out.push_back(slice);
   }
-}
-
-std::vector<AllocationSlice> PhysicalHost::AdvanceInterval(
-    sim::SimTime start, sim::SimDuration dt,
-    const std::map<std::string, double>& weights) {
-  std::vector<AllocationSlice> slices;
-  ArenaScratch<2048> scratch;
-  AdvanceInterval(
-      start, dt,
-      [&weights](const VirtualMachine& vm) {
-        const auto it = weights.find(vm.id());
-        return it == weights.end() ? 0.0 : it->second;
-      },
-      scratch.arena, slices);
-  return slices;
 }
 
 double PhysicalHost::Utilization(sim::SimDuration elapsed) const {

@@ -7,7 +7,6 @@
 // rest — Tycoon's work-conservation / no-starvation property.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,9 +34,7 @@ struct HostSpec {
 
 /// Per-interval allocation result for one VM.
 struct AllocationSlice {
-  std::string vm_id;
-  /// The VM itself — valid until the next DestroyVm. Lets per-tick
-  /// consumers (charging) skip the id-string map lookup.
+  /// The VM itself — valid until the next DestroyVm.
   VirtualMachine* vm = nullptr;
   double weight = 0.0;
   CyclesPerSecond granted = 0.0;  // capacity for the interval
@@ -70,29 +67,44 @@ class PhysicalHost {
   std::vector<VirtualMachine*> vms();
 
   /// Advance one allocation interval: distribute capacity proportionally to
-  /// `weights` (vm_id -> weight, e.g. bid rates) among runnable VMs with
-  /// per-vCPU caps and work-conserving redistribution, then run the VMs.
-  /// VMs absent from `weights` get weight 0. Returns per-VM slices.
-  std::vector<AllocationSlice> AdvanceInterval(
-      sim::SimTime start, sim::SimDuration dt,
-      const std::map<std::string, double>& weights);
-
-  /// Hot-path variant for the auctioneer's tick loop: `weight_of` is
-  /// asked once per runnable VM (no weight map to build), scratch
-  /// vectors draw from `scratch` (reclaimed by the caller's Reset), and
-  /// slices are appended to `out` — cleared first — so its capacity is
-  /// reused across ticks. Arithmetic is identical to the map overload,
-  /// which delegates here: results are bit-for-bit the same.
-  void AdvanceInterval(
-      sim::SimTime start, sim::SimDuration dt,
-      const std::function<double(const VirtualMachine&)>& weight_of,
-      Arena& scratch, std::vector<AllocationSlice>& out);
+  /// the weights (e.g. bid rates) among runnable VMs with per-vCPU caps and
+  /// work-conserving redistribution, then run the VMs. `weight_of(vm)` is
+  /// asked once per runnable VM, in id order; VMs with a non-positive weight
+  /// sit the interval out. Scratch vectors draw from `scratch` (reclaimed by
+  /// the caller's Reset), and slices are appended to `out` — cleared first —
+  /// so its capacity is reused across ticks.
+  template <typename WeightOf>
+  void AdvanceInterval(sim::SimTime start, sim::SimDuration dt,
+                       WeightOf&& weight_of, Arena& scratch,
+                       std::vector<AllocationSlice>& out) {
+    auto participants = MakeArenaVector<VirtualMachine*>(scratch, vms_.size());
+    auto weights = MakeArenaVector<double>(scratch, vms_.size());
+    const sim::SimTime end = start + dt;
+    for (auto& [id, vm] : vms_) {
+      if (vm->destroyed()) continue;
+      // A VM becoming ready mid-interval still participates for its tail.
+      if (!vm->HasWork() || vm->ready_at() >= end) continue;
+      const double w = weight_of(*vm);
+      if (w <= 0) continue;
+      participants.push_back(vm.get());
+      weights.push_back(w);
+    }
+    RunParticipants(start, dt, participants.data(), weights.data(),
+                    participants.size(), scratch, out);
+  }
 
   /// Utilization over the host's lifetime: delivered / (capacity * time).
   double Utilization(sim::SimDuration elapsed) const;
   Cycles delivered_cycles() const { return delivered_cycles_; }
 
  private:
+  /// Splits the capacity among the `n` participants by `weights` and runs
+  /// each one for the interval, writing one slice per participant.
+  void RunParticipants(sim::SimTime start, sim::SimDuration dt,
+                       VirtualMachine* const* participants,
+                       const double* weights, std::size_t n, Arena& scratch,
+                       std::vector<AllocationSlice>& out);
+
   HostSpec spec_;
   std::map<std::string, std::unique_ptr<VirtualMachine>> vms_;
   std::uint64_t vms_created_ = 0;

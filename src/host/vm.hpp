@@ -43,6 +43,12 @@ class VirtualMachine {
   const std::string& id() const { return id_; }
   const std::string& owner() const { return owner_; }
 
+  /// The owner's account slot in this host's auctioneer, bound once by
+  /// the auctioneer that creates the VM. A VM created on the host
+  /// directly keeps the all-ones default, market::BidTable::kNoSlot.
+  std::uint32_t market_slot() const { return market_slot_; }
+  void BindMarketSlot(std::uint32_t slot) { market_slot_ = slot; }
+
   /// State as of `now` (resolves boot/provisioning deadlines).
   VmState state(sim::SimTime now) const;
   bool Runnable(sim::SimTime now) const;
@@ -76,6 +82,7 @@ class VirtualMachine {
  private:
   std::string id_;
   std::string owner_;
+  std::uint32_t market_slot_ = ~std::uint32_t{0};
   sim::SimTime ready_at_;
   bool provisioning_ = false;
   bool destroyed_ = false;

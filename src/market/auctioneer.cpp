@@ -128,6 +128,8 @@ Result<Money> Auctioneer::CloseAccount(const std::string& user) {
   const Money refund = bids_.balance(s);
   // Deliberate discard: the account may never have acquired a VM, so a
   // NotFound from DestroyVm is expected here.
+  // The only VM bound to slot `s` is the one AcquireVm made, so it goes
+  // before the slot is recycled.
   (void)host_.DestroyVm(bids_.cold(s).vm_id);
   // Remove deactivates the bid: the spot price drops this instant, not
   // at the next tick's re-sum.
@@ -159,9 +161,15 @@ Result<host::VirtualMachine*> Auctioneer::AcquireVm(const std::string& user) {
   const BidTable::Slot s = bids_.Find(user);
   if (s == BidTable::kNoSlot)
     return Status::FailedPrecondition("open an account before acquiring a VM");
-  host::VirtualMachine* existing = host_.FindVmByOwner(user);
-  if (existing != nullptr) return existing;
-  return host_.CreateVm(bids_.cold(s).vm_id, user, kernel_.now());
+  const std::string& vm_id = bids_.cold(s).vm_id;
+  Result<host::VirtualMachine*> existing = host_.GetVm(vm_id);
+  if (existing.ok()) return existing;
+  GM_ASSIGN_OR_RETURN(host::VirtualMachine* vm,
+                      host_.CreateVm(vm_id, user, kernel_.now()));
+  // Bound once here, so the tick reads the slot instead of hashing the
+  // owner's name twice per VM.
+  vm->BindMarketSlot(s);
+  return vm;
 }
 
 void Auctioneer::VerifyIncrementalLocked(sim::SimTime now) const {
@@ -172,12 +180,16 @@ void Auctioneer::VerifyIncrementalLocked(sim::SimTime now) const {
             "incremental spot price diverged from full re-sum");
 }
 
+Rate Auctioneer::SettledSpotPriceRateLocked(sim::SimTime now) const {
+  VerifyIncrementalLocked(now);
+  return Rate::MicrosPerSec(bids_.active_sum_micros());
+}
+
 Rate Auctioneer::SpotPriceRateLocked(sim::SimTime now) const {
   // Settle deadline expiries up to `now`, then the maintained sum IS the
   // spot price — no walk over the book.
   bids_.ExpireUntil(now);
-  VerifyIncrementalLocked(now);
-  return Rate::MicrosPerSec(bids_.active_sum_micros());
+  return SettledSpotPriceRateLocked(now);
 }
 
 Rate Auctioneer::SpotPriceRate() const {
@@ -198,13 +210,13 @@ Rate Auctioneer::SpotPriceRateExcluding(const std::string& user) const {
   return Rate::MicrosPerSec(bids_.active_sum_micros() - own);
 }
 
-double Auctioneer::PricePerCapacityLocked(sim::SimTime now) const {
-  return SpotPriceRateLocked(now).dollars_per_sec() / host_.TotalCapacity();
+double Auctioneer::PerCapacity(Rate spot) const {
+  return spot.dollars_per_sec() / host_.TotalCapacity();
 }
 
 double Auctioneer::PricePerCapacity() const {
   gm::MutexLock lock(&mu_);
-  return PricePerCapacityLocked(kernel_.now());
+  return PerCapacity(SpotPriceRateLocked(kernel_.now()));
 }
 
 Result<const WindowMoments*> Auctioneer::Moments(
@@ -275,13 +287,12 @@ void Auctioneer::Tick() {
   // share if it was active at any point of the interval; with rate and
   // balance only changing under this lock, that is exactly
   //   rate > 0 && balance > 0 && deadline > interval_start
-  // (the union of active-at-interval-start and active-now). The host
-  // asks for each runnable VM's weight directly — no weight map, no
-  // VM-id string building.
+  // (the union of active-at-interval-start and active-now).
   host_.AdvanceInterval(
       interval_start, kAuctionInterval,
       [&](const host::VirtualMachine& vm) -> double {
-        const BidTable::Slot s = bids_.Find(vm.owner());
+        // A VM made on the host directly has no slot: no share.
+        const BidTable::Slot s = vm.market_slot();
         if (s == BidTable::kNoSlot) return 0.0;
         if (bids_.rate_micros(s) <= 0 || bids_.balance_micros(s) <= 0 ||
             bids_.deadline(s) <= interval_start)
@@ -294,7 +305,7 @@ void Auctioneer::Tick() {
   // A charge that drains the balance deactivates the bid through the
   // table, keeping the maintained sum honest.
   for (const host::AllocationSlice& slice : tick_slices_) {
-    const BidTable::Slot s = bids_.Find(slice.vm->owner());
+    const BidTable::Slot s = slice.vm->market_slot();
     if (s == BidTable::kNoSlot) continue;
     const Rate rate = Rate::MicrosPerSec(bids_.rate_micros(s));
     const Money cost =
@@ -311,8 +322,10 @@ void Auctioneer::Tick() {
     }
   }
 
-  // 4. Record the spot price for the prediction layer.
-  const double price = PricePerCapacityLocked(now);
+  // 4. Record the spot price for the prediction layer. Expiries were
+  // settled above and charging only deactivates bids, so the maintained
+  // sum already is the spot price at `now`.
+  const double price = PerCapacity(SettledSpotPriceRateLocked(now));
   if (telemetry_.load(std::memory_order_relaxed) != nullptr) {
     ticks_ctr_.load(std::memory_order_relaxed)->Inc();
     tick_price_.load(std::memory_order_relaxed)->Observe(price);

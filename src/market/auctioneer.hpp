@@ -145,8 +145,12 @@ class Auctioneer {
  private:
   std::string VmId(const std::string& user) const;
   void ResetWindowStats() GM_REQUIRES(mu_);
+  /// The maintained active-bid sum; the spot price once expiries are
+  /// settled up to `now`.
+  Rate SettledSpotPriceRateLocked(sim::SimTime now) const GM_REQUIRES(mu_);
   Rate SpotPriceRateLocked(sim::SimTime now) const GM_REQUIRES(mu_);
-  double PricePerCapacityLocked(sim::SimTime now) const GM_REQUIRES(mu_);
+  /// `spot` per unit of host capacity: $/s per cycles/s.
+  double PerCapacity(Rate spot) const;
   /// With verify_incremental: assert active_sum == full re-sum, exactly.
   void VerifyIncrementalLocked(sim::SimTime now) const GM_REQUIRES(mu_);
 

@@ -30,14 +30,28 @@ std::string FormatTime(SimTime t) {
   return buffer;
 }
 
+EventHandle Kernel::Add(SimTime at, SimDuration period, Callback callback) {
+  GM_ASSERT(callback != nullptr, "null callback");
+  std::uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(generation_.size());
+    generation_.push_back(1);
+    events_.emplace_back();
+  }
+  Event& event = events_[slot];
+  event.callback = std::move(callback);
+  event.period = period;
+  ++live_events_;
+  Push(at, slot);
+  return EventHandle{(std::uint64_t{generation_[slot]} << 32) | slot};
+}
+
 EventHandle Kernel::ScheduleAt(SimTime at, Callback callback) {
   GM_ASSERT(at >= now_, "ScheduleAt in the past");
-  GM_ASSERT(callback != nullptr, "null callback");
-  const std::uint64_t id = next_id_++;
-  events_.emplace(id, EventState{std::move(callback), 0});
-  ++live_events_;
-  Push(at, id);
-  return EventHandle{id};
+  return Add(at, 0, std::move(callback));
 }
 
 EventHandle Kernel::ScheduleAfter(SimDuration delay, Callback callback) {
@@ -49,74 +63,93 @@ EventHandle Kernel::ScheduleEvery(SimDuration initial_delay,
                                   SimDuration period, Callback callback) {
   GM_ASSERT(initial_delay >= 0, "negative initial delay");
   GM_ASSERT(period > 0, "non-positive period");
-  GM_ASSERT(callback != nullptr, "null callback");
-  const std::uint64_t id = next_id_++;
-  events_.emplace(id, EventState{std::move(callback), period});
-  ++live_events_;
-  Push(now_ + initial_delay, id);
-  return EventHandle{id};
+  return Add(now_ + initial_delay, period, std::move(callback));
 }
 
 bool Kernel::Cancel(EventHandle handle) {
-  const auto it = events_.find(handle.id);
-  if (it == events_.end()) return false;
-  events_.erase(it);
-  --live_events_;
+  const auto slot = static_cast<std::uint32_t>(handle.id);
+  const auto generation = static_cast<std::uint32_t>(handle.id >> 32);
+  // Generation 0 is never handed out; it marks a slot retired for good.
+  if (generation == 0 || slot >= generation_.size() ||
+      generation_[slot] != generation)
+    return false;
+  Retire(slot);
+  // A timer cancelled from inside its own callback is released by FireTop
+  // once the callback returns.
+  if (!events_[slot].running) Release(slot);
   return true;
 }
 
-void Kernel::Push(SimTime at, std::uint64_t id) {
-  queue_.push(Entry{at, next_seq_++, id});
+void Kernel::Push(SimTime at, std::uint32_t slot) {
+  queue_.push(Entry{at, next_seq_++, slot, generation_[slot]});
 }
 
-bool Kernel::FireNext() {
+void Kernel::Retire(std::uint32_t slot) {
+  ++generation_[slot];
+  --live_events_;
+}
+
+void Kernel::Release(std::uint32_t slot) {
+  events_[slot].callback = nullptr;
+  // A slot whose generation wrapped to 0 is never reused, so no handle
+  // or heap entry ever made for it matches again.
+  if (generation_[slot] != 0) free_slots_.push_back(slot);
+}
+
+bool Kernel::SkipCancelled() {
   while (!queue_.empty()) {
-    const Entry entry = queue_.top();
+    const Entry& top = queue_.top();
+    if (generation_[top.slot] == top.generation) return true;
     queue_.pop();
-    const auto it = events_.find(entry.id);
-    if (it == events_.end()) continue;  // cancelled; discard lazily
-    GM_ASSERT(entry.at >= now_, "event queue time went backwards");
-    now_ = entry.at;
-    if (it->second.period > 0) {
-      Push(now_ + it->second.period, entry.id);
-      // The callback may cancel the timer or schedule new events; copy the
-      // callback so rehashing of events_ cannot invalidate it mid-call.
-      const Callback callback = it->second.callback;
-      callback();
-    } else {
-      Callback callback = std::move(it->second.callback);
-      events_.erase(it);
-      --live_events_;
-      callback();
-    }
-    return true;
   }
   return false;
 }
 
+void Kernel::FireTop() {
+  const Entry entry = queue_.top();
+  queue_.pop();
+  GM_ASSERT(entry.at >= now_, "event queue time went backwards");
+  now_ = entry.at;
+  Event& event = events_[entry.slot];
+  // A one-shot event ends before its callback runs: cancelling it from
+  // inside returns false and pending_events() no longer counts it.
+  if (event.period > 0) {
+    Push(now_ + event.period, entry.slot);
+  } else {
+    Retire(entry.slot);
+  }
+  // Called in place: the deque never moves `event`, and the slot is not
+  // reused until it is released below.
+  event.running = true;
+  event.callback();
+  event.running = false;
+  if (generation_[entry.slot] != entry.generation) Release(entry.slot);
+}
+
 std::size_t Kernel::Run() {
   std::size_t fired = 0;
-  while (FireNext()) ++fired;
+  while (SkipCancelled()) {
+    FireTop();
+    ++fired;
+  }
   return fired;
 }
 
 std::size_t Kernel::RunUntil(SimTime deadline) {
   GM_ASSERT(deadline >= now_, "RunUntil in the past");
   std::size_t fired = 0;
-  while (!queue_.empty()) {
-    // Skip over cancelled entries without advancing the clock.
-    const Entry entry = queue_.top();
-    if (events_.find(entry.id) == events_.end()) {
-      queue_.pop();
-      continue;
-    }
-    if (entry.at > deadline) break;
-    if (FireNext()) ++fired;
+  while (SkipCancelled() && queue_.top().at <= deadline) {
+    FireTop();
+    ++fired;
   }
   now_ = deadline;
   return fired;
 }
 
-bool Kernel::Step() { return FireNext(); }
+bool Kernel::Step() {
+  if (!SkipCancelled()) return false;
+  FireTop();
+  return true;
+}
 
 }  // namespace gm::sim

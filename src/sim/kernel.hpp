@@ -3,14 +3,25 @@
 // A binary-heap event queue keyed by (time, sequence number): events at the
 // same instant fire in scheduling order, which makes whole experiments
 // deterministic. Events are plain callbacks; repeating timers reschedule
-// themselves until cancelled. Cancellation is O(1) via generation-checked
-// handles (the heap entry is lazily discarded).
+// themselves until cancelled.
+//
+// Events live in a slot array. Each slot has a generation counter that is
+// bumped whenever its event ends (fired one-shot or cancelled), and a handle
+// encodes (slot, generation); so does every heap entry. A stale handle or a
+// cancelled heap entry is therefore recognised by one array read, and
+// cancellation is O(1): the heap entry is discarded lazily when it surfaces.
+// A slot whose generation wraps to 0 is retired for good, so a generation
+// is never handed out twice.
+// Callbacks sit in a deque, whose elements never move, so a repeating
+// callback is invoked in place even while it schedules new events; a timer
+// that cancels itself from its own callback is released once the callback
+// returns.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.hpp"
@@ -61,7 +72,8 @@ class Kernel {
   struct Entry {
     SimTime at;
     std::uint64_t seq;
-    std::uint64_t id;
+    std::uint32_t slot;
+    std::uint32_t generation;
   };
   struct EntryLater {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -69,20 +81,32 @@ class Kernel {
       return a.seq > b.seq;
     }
   };
-  struct EventState {
+  struct Event {
     Callback callback;
     SimDuration period = 0;  // 0 => one-shot
+    bool running = false;    // inside its own callback
   };
 
-  void Push(SimTime at, std::uint64_t id);
-  bool FireNext();
+  EventHandle Add(SimTime at, SimDuration period, Callback callback);
+  void Push(SimTime at, std::uint32_t slot);
+  /// Ends the slot's event: stale handles and heap entries stop matching.
+  void Retire(std::uint32_t slot);
+  void Release(std::uint32_t slot);
+  /// Discards cancelled entries; false once the queue is empty.
+  bool SkipCancelled();
+  /// Fires the queue's top entry, which SkipCancelled found live.
+  void FireTop();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
   std::size_t live_events_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_;
-  std::unordered_map<std::uint64_t, EventState> events_;
+  /// Current generation per slot; an entry or handle matches only while
+  /// its event is pending. Starts at 1, so no handle id is 0; 0 marks a
+  /// slot retired after 2^32 events.
+  std::vector<std::uint32_t> generation_;
+  std::deque<Event> events_;  // parallel to generation_
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace gm::sim

@@ -20,6 +20,18 @@ HostSpec TestSpec() {
   return spec;
 }
 
+// One 10 s interval from `start`, weighted by `weight_of(vm)`.
+template <typename WeightOf>
+std::vector<AllocationSlice> Advance(PhysicalHost& host, sim::SimTime start,
+                                     WeightOf weight_of) {
+  ArenaScratch<2048> scratch;
+  std::vector<AllocationSlice> slices;
+  host.AdvanceInterval(start, Seconds(10), weight_of, scratch.arena, slices);
+  return slices;
+}
+
+double WeightOne(const VirtualMachine&) { return 1.0; }
+
 TEST(ProportionalShareTest, EqualWeightsEqualShares) {
   const auto granted = ProportionalShareWithCap({1.0, 1.0}, 200.0, 100.0);
   EXPECT_DOUBLE_EQ(granted[0], 100.0);
@@ -123,8 +135,9 @@ TEST(PhysicalHostTest, AdvanceIntervalSharesByWeight) {
   ASSERT_TRUE(b.ok());
   (*a)->Enqueue({1, 1e9, nullptr});
   (*b)->Enqueue({2, 1e9, nullptr});
-  const auto slices =
-      host.AdvanceInterval(0, Seconds(10), {{"vm-a", 3.0}, {"vm-b", 1.0}});
+  const auto slices = Advance(host, 0, [](const VirtualMachine& vm) {
+    return vm.id() == "vm-a" ? 3.0 : 1.0;
+  });
   ASSERT_EQ(slices.size(), 2u);
   // Proportional 150/50 capped at 100 -> redistribute -> 100/100.
   for (const auto& slice : slices) {
@@ -142,10 +155,11 @@ TEST(PhysicalHostTest, IdleVmExcludedFromAllocation) {
   ASSERT_TRUE(b.ok());
   (*a)->Enqueue({1, 1e9, nullptr});
   // vm-b has no work: all weighted capacity flows to vm-a (up to its cap).
-  const auto slices =
-      host.AdvanceInterval(0, Seconds(10), {{"vm-a", 1.0}, {"vm-b", 9.0}});
+  const auto slices = Advance(host, 0, [](const VirtualMachine& vm) {
+    return vm.id() == "vm-a" ? 1.0 : 9.0;
+  });
   ASSERT_EQ(slices.size(), 1u);
-  EXPECT_EQ(slices[0].vm_id, "vm-a");
+  EXPECT_EQ(slices[0].vm->id(), "vm-a");
   EXPECT_DOUBLE_EQ(slices[0].granted, 100.0);  // single-vCPU cap
 }
 
@@ -154,7 +168,8 @@ TEST(PhysicalHostTest, ZeroWeightVmGetsNothing) {
   auto a = host.CreateVm("vm-a", "alice", 0);
   ASSERT_TRUE(a.ok());
   (*a)->Enqueue({1, 1e9, nullptr});
-  const auto slices = host.AdvanceInterval(0, Seconds(10), {});
+  const auto slices =
+      Advance(host, 0, [](const VirtualMachine&) { return 0.0; });
   EXPECT_TRUE(slices.empty());
 }
 
@@ -163,7 +178,7 @@ TEST(PhysicalHostTest, UsedFractionBelowOneWhenQueueDrains) {
   auto a = host.CreateVm("vm-a", "alice", 0);
   ASSERT_TRUE(a.ok());
   (*a)->Enqueue({1, 50.0, nullptr});  // needs 0.5s at 100/s
-  const auto slices = host.AdvanceInterval(0, Seconds(10), {{"vm-a", 1.0}});
+  const auto slices = Advance(host, 0, WeightOne);
   ASSERT_EQ(slices.size(), 1u);
   EXPECT_DOUBLE_EQ(slices[0].used, 50.0);
   EXPECT_NEAR(slices[0].used_fraction, 0.05, 1e-12);
@@ -176,10 +191,9 @@ TEST(PhysicalHostTest, BootingVmExcludedUntilReady) {
   auto a = host.CreateVm("vm-a", "alice", 0);
   ASSERT_TRUE(a.ok());
   (*a)->Enqueue({1, 1e9, nullptr});
-  EXPECT_TRUE(host.AdvanceInterval(0, Seconds(10), {{"vm-a", 1.0}}).empty());
+  EXPECT_TRUE(Advance(host, 0, WeightOne).empty());
   // Once ready, it runs.
-  const auto slices =
-      host.AdvanceInterval(Seconds(30), Seconds(10), {{"vm-a", 1.0}});
+  const auto slices = Advance(host, Seconds(30), WeightOne);
   ASSERT_EQ(slices.size(), 1u);
   EXPECT_GT(slices[0].used, 0.0);
 }
@@ -189,7 +203,7 @@ TEST(PhysicalHostTest, UtilizationTracksDeliveredCycles) {
   auto a = host.CreateVm("vm-a", "alice", 0);
   ASSERT_TRUE(a.ok());
   (*a)->Enqueue({1, 500.0, nullptr});
-  host.AdvanceInterval(0, Seconds(10), {{"vm-a", 1.0}});
+  Advance(host, 0, WeightOne);
   // 500 cycles delivered out of 200 * 10 = 2000 offered.
   EXPECT_NEAR(host.Utilization(Seconds(10)), 0.25, 1e-12);
 }

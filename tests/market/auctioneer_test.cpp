@@ -69,6 +69,61 @@ TEST_F(AuctioneerTest, AcquireVmIsIdempotent) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);  // one VM per user per host
+  EXPECT_NE((*a)->market_slot(), BidTable::kNoSlot);
+}
+
+TEST_F(AuctioneerTest, ReusedSlotChargesOnlyItsNewOwner) {
+  host::VirtualMachine* alice = Join("alice", Money::Dollars(100),
+                                     Rate::MicrosPerSec(1000), Seconds(1000));
+  const std::uint32_t slot = alice->market_slot();
+  ASSERT_TRUE(auctioneer_.CloseAccount("alice").ok());  // destroys her VM
+  // A VM made on the host for alice outlives her account.
+  auto stray = host_.CreateVm("stray-alice", "alice", 0);
+  ASSERT_TRUE(stray.ok());
+  (*stray)->Enqueue({next_work_id_++, 1e12, nullptr});
+
+  host::VirtualMachine* bob = Join("bob", Money::Dollars(100),
+                                   Rate::MicrosPerSec(1000), Seconds(1000));
+  EXPECT_EQ(bob->market_slot(), slot);  // alice's slot, recycled
+  auctioneer_.Start();
+  kernel_.RunUntil(Seconds(10));
+  EXPECT_EQ(auctioneer_.Spent("bob").value(), Money::FromMicros(10000));
+  EXPECT_EQ(auctioneer_.total_revenue(), Money::FromMicros(10000));
+  EXPECT_FALSE(auctioneer_.Spent("alice").ok());
+  EXPECT_GT(bob->delivered_cycles(), 0.0);
+  EXPECT_EQ((*stray)->delivered_cycles(), 0.0);
+}
+
+TEST_F(AuctioneerTest, VmCreatedOnTheHostGetsNoShareAndNoCharge) {
+  // Carol has an account and a bid, but this VM was made on the host, not
+  // by AcquireVm: it holds no slot, so it earns nothing and costs nothing.
+  auto stray = host_.CreateVm("stray-carol", "carol", 0);
+  ASSERT_TRUE(stray.ok());
+  (*stray)->Enqueue({next_work_id_++, 1e12, nullptr});
+  host::VirtualMachine* carol = Join("carol", Money::Dollars(100),
+                                     Rate::MicrosPerSec(1000), Seconds(1000));
+  EXPECT_NE(carol, *stray);  // AcquireVm makes and binds its own VM
+  auctioneer_.Start();
+  kernel_.RunUntil(Seconds(30));
+  EXPECT_EQ((*stray)->market_slot(), BidTable::kNoSlot);
+  EXPECT_EQ((*stray)->delivered_cycles(), 0.0);
+  EXPECT_GT(carol->delivered_cycles(), 0.0);
+  EXPECT_EQ(auctioneer_.Spent("carol").value(), Money::FromMicros(30000));
+  EXPECT_EQ(auctioneer_.total_revenue(), Money::FromMicros(30000));
+}
+
+TEST_F(AuctioneerTest, RevenueIsTheSumOfSpent) {
+  const std::vector<std::string> users = {"alice", "bob", "carol", "dave"};
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    Join(users[i], Money::Dollars(1), Rate::MicrosPerSec(700 * (i + 1)),
+         Seconds(40 * (i + 1)), /*work=*/300.0 * (i + 1));
+  }
+  auctioneer_.Start();
+  kernel_.RunUntil(Seconds(200));
+  Money spent = Money::Zero();
+  for (const std::string& user : users) spent += auctioneer_.Spent(user).value();
+  EXPECT_TRUE(spent.is_positive());
+  EXPECT_EQ(auctioneer_.total_revenue(), spent);
 }
 
 TEST_F(AuctioneerTest, SpotPriceSumsActiveBids) {

@@ -46,8 +46,12 @@ TEST_P(HostAllocationProperty, CapacityConservedAndBounded) {
   const sim::SimDuration interval = 10 * sim::kSecond;
   double delivered_total = 0.0;
   for (int tick = 0; tick < 30; ++tick) {
-    const auto slices = host.AdvanceInterval(tick * interval, interval,
-                                             weights);
+    ArenaScratch<2048> scratch;
+    std::vector<AllocationSlice> slices;
+    host.AdvanceInterval(
+        tick * interval, interval,
+        [&weights](const VirtualMachine& vm) { return weights.at(vm.id()); },
+        scratch.arena, slices);
     double interval_used = 0.0;
     for (const AllocationSlice& slice : slices) {
       // No VM above its vCPU cap, nothing negative.

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/time.hpp"
 
 namespace gm::sim {
@@ -171,6 +174,189 @@ TEST(KernelTest, ManyEventsStressOrdering) {
   ASSERT_EQ(fired.size(), 1000u);
   for (std::size_t i = 1; i < fired.size(); ++i)
     EXPECT_LE(fired[i - 1], fired[i]);
+}
+
+TEST(KernelTest, StaleHandleDoesNotCancelTheSlotsNextEvent) {
+  Kernel kernel;
+  const EventHandle first = kernel.ScheduleAt(10, [] {});
+  kernel.Run();
+  bool second_fired = false;
+  kernel.ScheduleAt(20, [&] { second_fired = true; });
+  EXPECT_FALSE(kernel.Cancel(first));
+  EXPECT_EQ(kernel.pending_events(), 1u);
+  kernel.Run();
+  EXPECT_TRUE(second_fired);
+}
+
+TEST(KernelTest, TimerCancellingItselfKeepsItsCallbackUntilItReturns) {
+  Kernel kernel;
+  const std::string label(64, 'x');  // heap-held capture
+  std::vector<std::string> seen;
+  EventHandle timer;
+  timer = kernel.ScheduleEvery(10, 10, [&kernel, &timer, &seen, label] {
+    EXPECT_TRUE(kernel.Cancel(timer));
+    // New events may not take the cancelled timer's slot while it runs.
+    for (int i = 0; i < 4; ++i) kernel.ScheduleAfter(0, [] {});
+    seen.push_back(label);
+  });
+  EXPECT_EQ(kernel.Run(), 5u);
+  EXPECT_EQ(seen, (std::vector<std::string>{label}));
+  EXPECT_EQ(kernel.pending_events(), 0u);
+}
+
+// Reference model for the property test below: every event in one flat
+// list, the next one found by a scan for the least (time, seq). Handles are
+// list indices + 1 and are never reused.
+class ReferenceKernel {
+ public:
+  using Handle = std::size_t;
+
+  SimTime now() const { return now_; }
+  Handle ScheduleAt(SimTime at, std::function<void()> callback) {
+    events_.push_back({at, next_seq_++, 0, std::move(callback), true});
+    return events_.size();
+  }
+  Handle ScheduleEvery(SimDuration initial_delay, SimDuration period,
+                       std::function<void()> callback) {
+    events_.push_back(
+        {now_ + initial_delay, next_seq_++, period, std::move(callback), true});
+    return events_.size();
+  }
+  bool Cancel(Handle handle) {
+    if (handle == 0 || handle > events_.size() || !events_[handle - 1].pending)
+      return false;
+    events_[handle - 1].pending = false;
+    return true;
+  }
+  std::size_t pending_events() const {
+    std::size_t n = 0;
+    for (const Event& e : events_) n += e.pending ? 1 : 0;
+    return n;
+  }
+  std::size_t RunUntil(SimTime deadline) {
+    std::size_t fired = 0;
+    for (;;) {
+      std::size_t next = events_.size();
+      for (std::size_t i = 0; i < events_.size(); ++i) {
+        const Event& e = events_[i];
+        if (!e.pending) continue;
+        if (next == events_.size() || e.at < events_[next].at ||
+            (e.at == events_[next].at && e.seq < events_[next].seq))
+          next = i;
+      }
+      if (next == events_.size() || events_[next].at > deadline) break;
+      Event& e = events_[next];
+      now_ = e.at;
+      if (e.period > 0) {
+        e.at = now_ + e.period;
+        e.seq = next_seq_++;
+      } else {
+        e.pending = false;
+      }
+      const std::function<void()> callback = e.callback;  // events_ may grow
+      callback();
+      ++fired;
+    }
+    now_ = deadline;
+    return fired;
+  }
+
+ private:
+  struct Event {
+    SimTime at;
+    std::uint64_t seq;
+    SimDuration period;
+    std::function<void()> callback;
+    bool pending;
+  };
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::vector<Event> events_;
+};
+
+// A seeded random program of ScheduleAt / ScheduleEvery / Cancel / RunUntil,
+// run against `Q`. Callbacks draw further operations from the same stream:
+// events at the current instant, cancels of other events (pending, fired or
+// cancelled, so stale handles whose slot has been reused), and timers that
+// cancel themselves. Returns a trace of every firing, Cancel result and
+// pending_events() reading.
+template <typename Q>
+std::vector<std::string> RunRandomProgram(std::uint64_t seed) {
+  using Handle = decltype(std::declval<Q&>().ScheduleAt(0, nullptr));
+  Q q;
+  Rng rng(seed);
+  std::vector<Handle> handles;
+  std::vector<std::string> trace;
+  constexpr std::size_t kMaxEvents = 120;
+
+  std::function<void(std::size_t)> act;
+  const auto schedule = [&](bool periodic) {
+    if (handles.size() >= kMaxEvents) return;
+    const std::size_t id = handles.size();
+    handles.emplace_back();
+    const SimDuration delay =
+        rng.Bernoulli(0.3) ? 0 : static_cast<SimDuration>(rng.NextBelow(40));
+    const auto callback = [&, id] {
+      trace.push_back("fire " + std::to_string(id) + " @" +
+                      std::to_string(q.now()));
+      act(id);
+      // Touches the capture after act(), which may have cancelled this
+      // very timer.
+      trace.push_back("done " + std::to_string(id));
+    };
+    handles[id] = periodic ? q.ScheduleEvery(
+                                 delay, 1 + static_cast<SimDuration>(
+                                                rng.NextBelow(25)),
+                                 callback)
+                           : q.ScheduleAt(q.now() + delay, callback);
+  };
+  const auto cancel = [&](std::size_t id) {
+    trace.push_back("cancel " + std::to_string(id) + " -> " +
+                    (q.Cancel(handles[id]) ? "true" : "false"));
+  };
+  act = [&](std::size_t self) {
+    const std::uint64_t ops = rng.NextBelow(3);
+    for (std::uint64_t i = 0; i < ops; ++i) {
+      const std::uint64_t op = rng.NextBelow(10);
+      if (op < 4) {
+        schedule(false);
+      } else if (op < 5) {
+        schedule(true);
+      } else if (op < 8) {
+        cancel(rng.NextBelow(handles.size()));
+      } else {
+        cancel(self);
+      }
+      trace.push_back("pending " + std::to_string(q.pending_events()));
+    }
+  };
+
+  for (int step = 0; step < 60; ++step) {
+    const std::uint64_t op = rng.NextBelow(10);
+    if (op < 3) {
+      schedule(false);
+    } else if (op < 5) {
+      schedule(true);
+    } else if (op < 7 && !handles.empty()) {
+      cancel(rng.NextBelow(handles.size()));
+    } else {
+      const SimTime until = q.now() + static_cast<SimTime>(rng.NextBelow(30));
+      trace.push_back("ran " + std::to_string(q.RunUntil(until)));
+    }
+    trace.push_back("pending " + std::to_string(q.pending_events()));
+  }
+  for (std::size_t id = 0; id < handles.size(); ++id) cancel(id);
+  trace.push_back("pending " + std::to_string(q.pending_events()));
+  return trace;
+}
+
+TEST(KernelProperty, MatchesReferenceQueueOnRandomPrograms) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const std::vector<std::string> expected =
+        RunRandomProgram<ReferenceKernel>(seed);
+    const std::vector<std::string> actual = RunRandomProgram<Kernel>(seed);
+    ASSERT_EQ(actual, expected) << "seed " << seed;
+  }
 }
 
 }  // namespace
