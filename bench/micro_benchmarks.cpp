@@ -177,13 +177,14 @@ void BM_KernelEventThroughput(benchmark::State& state) {
 BENCHMARK(BM_KernelEventThroughput);
 
 // The paper testbed's timer mix: 30 hosts' auction ticks every 10 s plus
-// one 1 min timer, fired over 100 auction intervals per iteration.
-void BM_KernelPeriodicTimers(benchmark::State& state) {
+// one 1 min timer, fired over 100 auction intervals per iteration. Timer i
+// starts i * `phase` later than the first.
+void RunTestbedTimers(benchmark::State& state, sim::SimDuration phase) {
   sim::Kernel kernel;
   for (int host = 0; host < 30; ++host)
-    kernel.ScheduleEvery(market::kAuctionInterval, market::kAuctionInterval,
-                         [] {});
-  kernel.ScheduleEvery(sim::kMinute, sim::kMinute, [] {});
+    kernel.ScheduleEvery(market::kAuctionInterval + host * phase,
+                         market::kAuctionInterval, [] {});
+  kernel.ScheduleEvery(sim::kMinute + 30 * phase, sim::kMinute, [] {});
   std::int64_t fired = 0;
   for (auto _ : state) {
     fired += static_cast<std::int64_t>(
@@ -192,7 +193,18 @@ void BM_KernelPeriodicTimers(benchmark::State& state) {
   }
   state.SetItemsProcessed(fired);
 }
+
+// Aligned, as in the market: the 31 timers share their instants.
+void BM_KernelPeriodicTimers(benchmark::State& state) {
+  RunTestbedTimers(state, 0);
+}
 BENCHMARK(BM_KernelPeriodicTimers);
+
+// Each timer on its own phase, so no two share an instant.
+void BM_KernelStaggeredTimers(benchmark::State& state) {
+  RunTestbedTimers(state, market::kAuctionInterval / 31);
+}
+BENCHMARK(BM_KernelStaggeredTimers);
 
 void BM_LuSolve(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

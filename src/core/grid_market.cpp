@@ -8,16 +8,6 @@ namespace gm {
 
 namespace {
 
-/// Every host advertises as owned by the one site the market models.
-constexpr const char* kSite = "hp-palo-alto";
-/// Period of each host's SLS heartbeat. A host whose record outlives
-/// the SLS TTL without one is dead to the scheduler (see CrashHost).
-constexpr sim::SimDuration kSlsHeartbeat = sim::Minutes(1);
-// The plugin's HealthOf reads a record older than half the TTL as
-// SUSPECT, so a live host must heartbeat more than twice per TTL.
-static_assert(2 * kSlsHeartbeat < market::kSlsRecordTtl,
-              "a live host would read SUSPECT between heartbeats");
-
 /// Bit widths of the Schnorr group used for all keys. This
 /// small-but-real group keeps simulations fast; the full-size
 /// deployment parameters are 256/160.
@@ -204,8 +194,8 @@ GridMarket::GridMarket(Config config)
 
 std::unique_ptr<market::SlsPublisher> GridMarket::MakePublisher(
     std::size_t index) {
-  return std::make_unique<market::SlsPublisher>(
-      *auctioneers_[index], *sls_, kSite, kernel_, kSlsHeartbeat);
+  return std::make_unique<market::SlsPublisher>(*auctioneers_[index], *sls_,
+                                                kernel_);
 }
 
 GridMarket::~GridMarket() = default;

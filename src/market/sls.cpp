@@ -180,12 +180,11 @@ Status ServiceLocationService::LoadSnapshot(net::Reader& reader)
 }
 
 SlsPublisher::SlsPublisher(Auctioneer& auctioneer,
-                           ServiceLocationService& sls, std::string site,
-                           sim::Kernel& kernel, sim::SimDuration period)
-    : auctioneer_(auctioneer), sls_(sls), site_(std::move(site)),
-      kernel_(kernel) {
+                           ServiceLocationService& sls, sim::Kernel& kernel)
+    : auctioneer_(auctioneer), sls_(sls), kernel_(kernel) {
   PublishNow();
-  timer_ = kernel_.ScheduleEvery(period, period, [this] { PublishNow(); });
+  timer_ = kernel_.ScheduleEvery(kSlsHeartbeat, kSlsHeartbeat,
+                                 [this] { PublishNow(); });
 }
 
 SlsPublisher::~SlsPublisher() {
@@ -196,7 +195,7 @@ void SlsPublisher::PublishNow() {
   const host::PhysicalHost& host = auctioneer_.physical_host();
   HostRecord record;
   record.host_id = host.id();
-  record.site = site_;
+  record.site = kSlsSite;
   record.cpus = host.spec().cpus;
   record.cycles_per_cpu = host.PerCpuCapacity();
   record.price_per_capacity = auctioneer_.PricePerCapacity();

@@ -43,6 +43,15 @@ struct HostQuery {
 
 /// A record is live while it is at most this old.
 constexpr sim::SimDuration kSlsRecordTtl = sim::Minutes(5);
+/// Every host advertises as owned by the one site the market models.
+constexpr const char* kSlsSite = "hp-palo-alto";
+/// Period of each host's SLS heartbeat. A host whose record outlives
+/// the TTL without one is dead to the scheduler (see GridMarket::CrashHost).
+constexpr sim::SimDuration kSlsHeartbeat = sim::Minutes(1);
+// The plugin's HealthOf reads a record older than half the TTL as
+// SUSPECT, so a live host must heartbeat more than twice per TTL.
+static_assert(2 * kSlsHeartbeat < kSlsRecordTtl,
+              "a live host would read SUSPECT between heartbeats");
 
 /// Thread-safe: one mutex (rank kSls) guards the directory map, so
 /// heartbeats from concurrent auction shards and queries from broker
@@ -101,13 +110,13 @@ class ServiceLocationService : public store::Recoverable {
   std::size_t stale_dropped_ GM_GUARDED_BY(mu_) = 0;
 };
 
-/// Publishes an auctioneer's state to the SLS every `period`. Records
-/// advertise the statistics of the auctioneer's "day" window.
+/// Publishes an auctioneer's state to the SLS every kSlsHeartbeat, as
+/// site kSlsSite. Records advertise the statistics of the auctioneer's
+/// "day" window.
 class SlsPublisher {
  public:
   SlsPublisher(Auctioneer& auctioneer, ServiceLocationService& sls,
-               std::string site, sim::Kernel& kernel,
-               sim::SimDuration period);
+               sim::Kernel& kernel);
   ~SlsPublisher();
   SlsPublisher(const SlsPublisher&) = delete;
   SlsPublisher& operator=(const SlsPublisher&) = delete;
@@ -117,7 +126,6 @@ class SlsPublisher {
  private:
   Auctioneer& auctioneer_;
   ServiceLocationService& sls_;
-  std::string site_;
   sim::Kernel& kernel_;
   sim::EventHandle timer_;
 };

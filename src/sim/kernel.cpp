@@ -1,5 +1,6 @@
 #include "sim/kernel.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -81,7 +82,26 @@ bool Kernel::Cancel(EventHandle handle) {
 }
 
 void Kernel::Push(SimTime at, std::uint32_t slot) {
-  queue_.push(Entry{at, next_seq_++, slot, generation_[slot]});
+  std::uint32_t node;
+  if (free_node_ != kNoNode) {
+    node = free_node_;
+    free_node_ = nodes_[node].next;
+  } else {
+    node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  nodes_[node] = Node{slot, generation_[slot], kNoNode};
+  const std::uint64_t seq = next_seq_++;
+  // Appending keeps (time, seq) order: the latest instant holds the
+  // highest sequence numbers at its time.
+  if (tail_ != kNoNode && at == tail_at_) {
+    nodes_[tail_].next = node;
+  } else {
+    instants_.push_back(Instant{at, seq, node});
+    std::push_heap(instants_.begin(), instants_.end(), InstantLater{});
+    tail_at_ = at;
+  }
+  tail_ = node;
 }
 
 void Kernel::Retire(std::uint32_t slot) {
@@ -92,38 +112,56 @@ void Kernel::Retire(std::uint32_t slot) {
 void Kernel::Release(std::uint32_t slot) {
   events_[slot].callback = nullptr;
   // A slot whose generation wrapped to 0 is never reused, so no handle
-  // or heap entry ever made for it matches again.
+  // or queued node ever made for it matches again.
   if (generation_[slot] != 0) free_slots_.push_back(slot);
 }
 
+Kernel::Node Kernel::PopHead() {
+  Instant& top = instants_.front();
+  const std::uint32_t index = top.head;
+  const Node node = nodes_[index];
+  if (node.next != kNoNode) {
+    top.head = node.next;
+  } else {
+    // Once the latest instant is empty, a push at its time starts a new
+    // instant.
+    if (tail_ == index) tail_ = kNoNode;
+    std::pop_heap(instants_.begin(), instants_.end(), InstantLater{});
+    instants_.pop_back();
+  }
+  nodes_[index].next = free_node_;
+  free_node_ = index;
+  return node;
+}
+
 bool Kernel::SkipCancelled() {
-  while (!queue_.empty()) {
-    const Entry& top = queue_.top();
-    if (generation_[top.slot] == top.generation) return true;
-    queue_.pop();
+  while (!instants_.empty()) {
+    const Node& head = nodes_[instants_.front().head];
+    if (generation_[head.slot] == head.generation) return true;
+    PopHead();
   }
   return false;
 }
 
 void Kernel::FireTop() {
-  const Entry entry = queue_.top();
-  queue_.pop();
-  GM_ASSERT(entry.at >= now_, "event queue time went backwards");
-  now_ = entry.at;
-  Event& event = events_[entry.slot];
+  const SimTime at = instants_.front().at;
+  const Node node = PopHead();
+  GM_ASSERT(at >= now_, "event queue time went backwards");
+  now_ = at;
+  Event& event = events_[node.slot];
   // A one-shot event ends before its callback runs: cancelling it from
   // inside returns false and pending_events() no longer counts it.
   if (event.period > 0) {
-    Push(now_ + event.period, entry.slot);
+    Push(now_ + event.period, node.slot);
   } else {
-    Retire(entry.slot);
+    Retire(node.slot);
   }
   // Called in place: the deque never moves `event`, and the slot is not
   // reused until it is released below.
   event.running = true;
   event.callback();
   event.running = false;
-  if (generation_[entry.slot] != entry.generation) Release(entry.slot);
+  if (generation_[node.slot] != node.generation) Release(node.slot);
 }
 
 std::size_t Kernel::Run() {
@@ -138,7 +176,7 @@ std::size_t Kernel::Run() {
 std::size_t Kernel::RunUntil(SimTime deadline) {
   GM_ASSERT(deadline >= now_, "RunUntil in the past");
   std::size_t fired = 0;
-  while (SkipCancelled() && queue_.top().at <= deadline) {
+  while (SkipCancelled() && instants_.front().at <= deadline) {
     FireTop();
     ++fired;
   }

@@ -1,15 +1,25 @@
 // Discrete-event simulation kernel.
 //
-// A binary-heap event queue keyed by (time, sequence number): events at the
-// same instant fire in scheduling order, which makes whole experiments
+// Events fire in (time, sequence number) order: events at the same
+// instant fire in scheduling order, which makes whole experiments
 // deterministic. Events are plain callbacks; repeating timers reschedule
 // themselves until cancelled.
 //
+// The queue is a binary heap of *instants*, not of events. Each instant
+// holds a FIFO list of entries at one time, and a push at the same time
+// as the most recent push appends to that instant's list, so timers
+// that share a period and a phase (every host's auction tick) pay one
+// heap push and one pop per instant between them. Every push starts a
+// new instant or extends the latest one, so the instants cover
+// consecutive runs of sequence numbers; a time can have several
+// instants, and the heap orders them by (time, first sequence number).
+// List nodes come from a pool with a free list.
+//
 // Events live in a slot array. Each slot has a generation counter that is
 // bumped whenever its event ends (fired one-shot or cancelled), and a handle
-// encodes (slot, generation); so does every heap entry. A stale handle or a
-// cancelled heap entry is therefore recognised by one array read, and
-// cancellation is O(1): the heap entry is discarded lazily when it surfaces.
+// encodes (slot, generation); so does every list node. A stale handle or a
+// cancelled node is therefore recognised by one array read, and
+// cancellation is O(1): the node is discarded lazily when it surfaces.
 // A slot whose generation wraps to 0 is retired for good, so a generation
 // is never handed out twice.
 // Callbacks sit in a deque, whose elements never move, so a repeating
@@ -21,7 +31,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/status.hpp"
@@ -69,16 +78,23 @@ class Kernel {
   std::size_t pending_events() const { return live_events_; }
 
  private:
-  struct Entry {
-    SimTime at;
-    std::uint64_t seq;
+  static constexpr std::uint32_t kNoNode = 0xffffffff;
+  /// One scheduled firing of a slot's event, in its instant's list.
+  struct Node {
     std::uint32_t slot;
     std::uint32_t generation;
+    std::uint32_t next;  // kNoNode at the list's tail (or the free list's)
   };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
+  /// The entries of one run of pushes at one time, oldest first.
+  struct Instant {
+    SimTime at;
+    std::uint64_t first_seq;
+    std::uint32_t head;
+  };
+  struct InstantLater {
+    bool operator()(const Instant& a, const Instant& b) const {
       if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
+      return a.first_seq > b.first_seq;
     }
   };
   struct Event {
@@ -89,19 +105,30 @@ class Kernel {
 
   EventHandle Add(SimTime at, SimDuration period, Callback callback);
   void Push(SimTime at, std::uint32_t slot);
-  /// Ends the slot's event: stale handles and heap entries stop matching.
+  /// Ends the slot's event: stale handles and queued nodes stop matching.
   void Retire(std::uint32_t slot);
   void Release(std::uint32_t slot);
-  /// Discards cancelled entries; false once the queue is empty.
+  /// Unlinks the earliest instant's head node, popping the instant once
+  /// its list is empty, and returns the node to the pool.
+  Node PopHead();
+  /// Discards cancelled nodes; false once the queue is empty.
   bool SkipCancelled();
-  /// Fires the queue's top entry, which SkipCancelled found live.
+  /// Fires the earliest instant's head node, which SkipCancelled found
+  /// live.
   void FireTop();
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::size_t live_events_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_;
-  /// Current generation per slot; an entry or handle matches only while
+  /// Min-heap (by InstantLater) of the instants that have entries.
+  std::vector<Instant> instants_;
+  std::vector<Node> nodes_;
+  std::uint32_t free_node_ = kNoNode;
+  /// Tail node of the most recently pushed-to instant while that instant
+  /// is queued, else kNoNode; a push at `tail_at_` appends after it.
+  std::uint32_t tail_ = kNoNode;
+  SimTime tail_at_ = 0;
+  /// Current generation per slot; a node or handle matches only while
   /// its event is pending. Starts at 1, so no handle id is 0; 0 marks a
   /// slot retired after 2^32 events.
   std::vector<std::uint32_t> generation_;

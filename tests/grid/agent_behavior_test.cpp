@@ -53,7 +53,7 @@ class AgentBehaviorTest : public ::testing::Test {
         std::make_unique<market::Auctioneer>(*hosts_.back(), kernel_));
     auctioneers_.back()->Start();
     publishers_.push_back(std::make_unique<market::SlsPublisher>(
-        *auctioneers_.back(), sls_, "site", kernel_, sim::Seconds(30)));
+        *auctioneers_.back(), sls_, kernel_));
     return *auctioneers_.back();
   }
 

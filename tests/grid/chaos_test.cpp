@@ -66,11 +66,9 @@ class ChaosTest : public ::testing::Test {
     }
   }
 
-  /// A 30 s heartbeat against the SLS's default 5 min TTL.
   std::unique_ptr<market::SlsPublisher> Publisher(
       market::Auctioneer& auctioneer) {
-    return std::make_unique<market::SlsPublisher>(
-        auctioneer, sls_, "test-site", kernel_, sim::Seconds(30));
+    return std::make_unique<market::SlsPublisher>(auctioneer, sls_, kernel_);
   }
 
   std::size_t IndexOf(const std::string& host_id) const {
@@ -165,7 +163,7 @@ TEST_F(ChaosTest, LiveHostsAreNeverSuspectedAndRefundsAreExact) {
   // the liveness checks that ran while the job did moved nothing.
   for (const HostHealthInfo& health : plugin_->HostHealthReport()) {
     EXPECT_EQ(health.state, HostHealthState::kHealthy) << health.host_id;
-    EXPECT_GE(health.last_heartbeat, kernel_.now() - sim::Seconds(30))
+    EXPECT_GE(health.last_heartbeat, kernel_.now() - market::kSlsHeartbeat)
         << health.host_id;
   }
   EXPECT_EQ(plugin_->migrations(), 0u);

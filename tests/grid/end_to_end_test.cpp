@@ -50,8 +50,7 @@ class EndToEndTest : public ::testing::Test {
           std::make_unique<market::Auctioneer>(*hosts_.back(), kernel_));
       auctioneers_.back()->Start();
       publishers_.push_back(std::make_unique<market::SlsPublisher>(
-          *auctioneers_.back(), sls_, "test-site", kernel_,
-          sim::Seconds(30)));
+          *auctioneers_.back(), sls_, kernel_));
       EXPECT_TRUE(plugin_
                       ->RegisterAuctioneer(*auctioneers_.back(),
                                            "auctioneer:" + spec.id)

@@ -109,8 +109,7 @@ TEST_F(SlsTest, PublisherHeartbeatsAuctioneerState) {
   ASSERT_TRUE(
       auctioneer.SetBid("alice", Rate::MicrosPerSec(400), sim::Hours(10)).ok());
 
-  SlsPublisher publisher(auctioneer, sls_, "hp-palo-alto", kernel_,
-                         Minutes(1));
+  SlsPublisher publisher(auctioneer, sls_, kernel_);
   // Published immediately at construction.
   const auto record = sls_.Lookup("h9");
   ASSERT_TRUE(record.ok());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -204,6 +205,81 @@ TEST(KernelTest, TimerCancellingItselfKeepsItsCallbackUntilItReturns) {
   EXPECT_EQ(kernel.pending_events(), 0u);
 }
 
+TEST(KernelTest, EarlierTimeSplitsOneTimeIntoTwoListsKeepingOrder) {
+  Kernel kernel;
+  std::string order;
+  kernel.ScheduleAt(5, [&] { order += 'a'; });
+  kernel.ScheduleAt(7, [&] { order += 'b'; });
+  kernel.ScheduleAt(5, [&] { order += 'c'; });
+  EXPECT_EQ(kernel.Run(), 3u);
+  EXPECT_EQ(order, "acb");
+}
+
+TEST(KernelTest, ScheduleAtNowFromAnInstantsLastCallbackFiresNext) {
+  Kernel kernel;
+  std::string order;
+  std::vector<SimTime> times;
+  const auto record = [&](char c) {
+    order += c;
+    times.push_back(kernel.now());
+  };
+  // Two lists for time 10: [a] and, after x at 20, [b].
+  kernel.ScheduleAt(10, [&] {
+    record('a');
+    kernel.ScheduleAt(kernel.now(), [&] { record('d'); });
+  });
+  kernel.ScheduleAt(20, [&] { record('x'); });
+  kernel.ScheduleAt(10, [&] {
+    record('b');
+    kernel.ScheduleAt(kernel.now(), [&] {
+      record('c');
+      // From the last entry left at 10: the next instant is at 10 too.
+      kernel.ScheduleAt(kernel.now(), [&] { record('e'); });
+    });
+  });
+  EXPECT_EQ(kernel.Run(), 6u);
+  // d was scheduled (by a) before c (by b), and all of them before x's
+  // time.
+  EXPECT_EQ(order, "abdcex");
+  EXPECT_EQ(times, (std::vector<SimTime>{10, 10, 10, 10, 10, 20}));
+}
+
+TEST(KernelTest, PushAfterCancellingAnInstantsTailKeepsOrder) {
+  Kernel kernel;
+  std::string order;
+  kernel.ScheduleAt(5, [&] { order += 'a'; });
+  const EventHandle tail = kernel.ScheduleAt(5, [&] { order += 'b'; });
+  EXPECT_TRUE(kernel.Cancel(tail));
+  kernel.ScheduleAt(5, [&] { order += 'c'; });
+  // An instant whose only entry is cancelled, then pushed to again.
+  const EventHandle lone = kernel.ScheduleAt(9, [&] { order += 'x'; });
+  EXPECT_TRUE(kernel.Cancel(lone));
+  kernel.ScheduleAt(9, [&] { order += 'd'; });
+  EXPECT_EQ(kernel.pending_events(), 3u);
+  EXPECT_EQ(kernel.Run(), 3u);
+  EXPECT_EQ(order, "acd");
+  EXPECT_EQ(kernel.now(), 9);
+}
+
+TEST(KernelTest, RunUntilStopsExactlyAtAnInstantsTime) {
+  Kernel kernel;
+  std::vector<SimTime> times;
+  std::vector<EventHandle> timers;
+  for (int i = 0; i < 3; ++i) {
+    timers.push_back(
+        kernel.ScheduleEvery(10, 10, [&] { times.push_back(kernel.now()); }));
+  }
+  kernel.ScheduleAt(20, [&] { times.push_back(kernel.now()); });
+  EXPECT_EQ(kernel.RunUntil(20), 7u);
+  EXPECT_EQ(kernel.now(), 20);
+  EXPECT_EQ(times, (std::vector<SimTime>{10, 10, 10, 20, 20, 20, 20}));
+  EXPECT_EQ(kernel.RunUntil(29), 0u);
+  EXPECT_EQ(kernel.RunUntil(30), 3u);
+  EXPECT_EQ(kernel.now(), 30);
+  for (const EventHandle timer : timers) EXPECT_TRUE(kernel.Cancel(timer));
+  EXPECT_EQ(kernel.Run(), 0u);
+}
+
 // Reference model for the property test below: every event in one flat
 // list, the next one found by a scan for the least (time, seq). Handles are
 // list indices + 1 and are never reused.
@@ -274,6 +350,14 @@ class ReferenceKernel {
   std::vector<Event> events_;
 };
 
+// The shapes of the random programs. kSmall draws delays below 40, periods
+// from 1 to 25 and RunUntil steps below 30, so most instants hold one or
+// two entries. kAligned puts every delay and deadline on a 10-unit grid
+// and gives timers a period of 10 or 60, like the market's auction ticks
+// and heartbeats, and schedules more timers and cancels fewer, so
+// instants hold tens of entries.
+enum class Family { kSmall, kAligned };
+
 // A seeded random program of ScheduleAt / ScheduleEvery / Cancel / RunUntil,
 // run against `Q`. Callbacks draw further operations from the same stream:
 // events at the current instant, cancels of other events (pending, fired or
@@ -281,13 +365,14 @@ class ReferenceKernel {
 // cancel themselves. Returns a trace of every firing, Cancel result and
 // pending_events() reading.
 template <typename Q>
-std::vector<std::string> RunRandomProgram(std::uint64_t seed) {
+std::vector<std::string> RunRandomProgram(Family family, std::uint64_t seed) {
   using Handle = decltype(std::declval<Q&>().ScheduleAt(0, nullptr));
   Q q;
   Rng rng(seed);
   std::vector<Handle> handles;
   std::vector<std::string> trace;
   constexpr std::size_t kMaxEvents = 120;
+  const bool aligned = family == Family::kAligned;
 
   std::function<void(std::size_t)> act;
   const auto schedule = [&](bool periodic) {
@@ -295,7 +380,12 @@ std::vector<std::string> RunRandomProgram(std::uint64_t seed) {
     const std::size_t id = handles.size();
     handles.emplace_back();
     const SimDuration delay =
-        rng.Bernoulli(0.3) ? 0 : static_cast<SimDuration>(rng.NextBelow(40));
+        rng.Bernoulli(0.3) ? 0
+        : aligned          ? 10 * static_cast<SimDuration>(rng.NextBelow(7))
+                           : static_cast<SimDuration>(rng.NextBelow(40));
+    const SimDuration period =
+        aligned ? (rng.Bernoulli(0.7) ? 10 : 60)
+                : 1 + static_cast<SimDuration>(rng.NextBelow(25));
     const auto callback = [&, id] {
       trace.push_back("fire " + std::to_string(id) + " @" +
                       std::to_string(q.now()));
@@ -304,10 +394,7 @@ std::vector<std::string> RunRandomProgram(std::uint64_t seed) {
       // very timer.
       trace.push_back("done " + std::to_string(id));
     };
-    handles[id] = periodic ? q.ScheduleEvery(
-                                 delay, 1 + static_cast<SimDuration>(
-                                                rng.NextBelow(25)),
-                                 callback)
+    handles[id] = periodic ? q.ScheduleEvery(delay, period, callback)
                            : q.ScheduleAt(q.now() + delay, callback);
   };
   const auto cancel = [&](std::size_t id) {
@@ -322,7 +409,7 @@ std::vector<std::string> RunRandomProgram(std::uint64_t seed) {
         schedule(false);
       } else if (op < 5) {
         schedule(true);
-      } else if (op < 8) {
+      } else if (op < (aligned ? 9 : 8)) {
         cancel(rng.NextBelow(handles.size()));
       } else {
         cancel(self);
@@ -335,12 +422,14 @@ std::vector<std::string> RunRandomProgram(std::uint64_t seed) {
     const std::uint64_t op = rng.NextBelow(10);
     if (op < 3) {
       schedule(false);
-    } else if (op < 5) {
+    } else if (op < (aligned ? 6 : 5)) {
       schedule(true);
     } else if (op < 7 && !handles.empty()) {
       cancel(rng.NextBelow(handles.size()));
     } else {
-      const SimTime until = q.now() + static_cast<SimTime>(rng.NextBelow(30));
+      const SimTime until =
+          q.now() + (aligned ? 10 * static_cast<SimTime>(rng.NextBelow(4))
+                         : static_cast<SimTime>(rng.NextBelow(30)));
       trace.push_back("ran " + std::to_string(q.RunUntil(until)));
     }
     trace.push_back("pending " + std::to_string(q.pending_events()));
@@ -350,12 +439,36 @@ std::vector<std::string> RunRandomProgram(std::uint64_t seed) {
   return trace;
 }
 
+// The most firings at one time in a trace.
+std::size_t LargestInstant(const std::vector<std::string>& trace) {
+  std::size_t largest = 0;
+  std::size_t run = 0;
+  std::string run_time;
+  for (const std::string& line : trace) {
+    if (line.rfind("fire ", 0) != 0) continue;
+    const std::string time = line.substr(line.find('@'));
+    run = time == run_time ? run + 1 : 1;
+    run_time = time;
+    largest = std::max(largest, run);
+  }
+  return largest;
+}
+
 TEST(KernelProperty, MatchesReferenceQueueOnRandomPrograms) {
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    const std::vector<std::string> expected =
-        RunRandomProgram<ReferenceKernel>(seed);
-    const std::vector<std::string> actual = RunRandomProgram<Kernel>(seed);
-    ASSERT_EQ(actual, expected) << "seed " << seed;
+  for (const Family family : {Family::kSmall, Family::kAligned}) {
+    std::size_t largest = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      const std::vector<std::string> expected =
+          RunRandomProgram<ReferenceKernel>(family, seed);
+      const std::vector<std::string> actual =
+          RunRandomProgram<Kernel>(family, seed);
+      ASSERT_EQ(actual, expected)
+          << "family " << static_cast<int>(family) << " seed " << seed;
+      largest = std::max(largest, LargestInstant(expected));
+    }
+    if (family == Family::kAligned) {
+      EXPECT_GE(largest, 20u);
+    }
   }
 }
 
