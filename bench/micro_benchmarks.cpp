@@ -1,14 +1,19 @@
 // Microbenchmarks of the hot paths: bid optimization, auction ticks,
-// crypto primitives, prediction fits, the simulation kernel and the
-// durable-store journal.
+// crypto primitives, bank transfers and token authorization, prediction
+// fits, the simulation kernel and the durable-store journal.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <memory>
 
+#include "bank/bank.hpp"
 #include "bestresponse/best_response.hpp"
 #include "common/rng.hpp"
+#include "crypto/identity.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/token.hpp"
+#include "grid/auth.hpp"
 #include "market/auctioneer.hpp"
 #include "market/price_history.hpp"
 #include "market/slot_table.hpp"
@@ -111,6 +116,124 @@ void BM_SchnorrVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchnorrVerify);
+
+// A bank holding the user "alice" (owner-keyed, funded) and the
+// bank-managed "broker" with a sub-account "broker/job", as the grid has
+// them. The group is the size GridMarket uses (96-bit p, 48-bit q).
+struct BankFixture {
+  Rng rng{4};
+  crypto::KeyPair alice = crypto::KeyPair::Generate(crypto::TestGroup(), rng);
+  std::unique_ptr<bank::Bank> bank;
+
+  BankFixture() { Reset(); }
+
+  // A fresh ledger, so a long run does not grow the audit journal without
+  // bound.
+  void Reset() {
+    bank = std::make_unique<bank::Bank>(crypto::TestGroup(), 5);
+    (void)bank->CreateAccount("alice", alice.public_key());
+    (void)bank->CreateAccount("broker", {});
+    (void)bank->CreateSubAccount("broker", "broker/job");
+    (void)bank->Mint("alice", Money::Dollars(1e6), 0);
+    (void)bank->Mint("broker", Money::Dollars(1e6), 0);
+  }
+
+  // The owner's authorization for alice's next transfer to the broker.
+  crypto::Signature Authorize(Money amount) {
+    return alice.Sign(bank::TransferAuthPayload("alice", "broker", amount,
+                                                *bank->TransferNonce("alice")),
+                      rng);
+  }
+};
+
+constexpr int kLedgerResetEvery = 4096;
+
+// One move between bank-managed accounts (broker -> job sub-account, the
+// escrow mirrors), with no durable store attached.
+void BM_BankInternalTransfer(benchmark::State& state) {
+  BankFixture fixture;
+  std::int64_t n = 0;
+  for (auto _ : state) {
+    if (++n % kLedgerResetEvery == 0) {
+      state.PauseTiming();
+      fixture.Reset();
+      state.ResumeTiming();
+    }
+    if (!fixture.bank->InternalTransfer("broker", "broker/job",
+                                        Money::FromMicros(1), n)
+             .ok()) {
+      state.SkipWithError("internal transfer failed");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_BankInternalTransfer)->Unit(benchmark::kMicrosecond);
+
+// One owner-signed transfer (the user paying the broker): the bank checks
+// the owner's authorization and signs the receipt. The owner's own
+// signing is not timed.
+void BM_BankSignedTransfer(benchmark::State& state) {
+  BankFixture fixture;
+  std::int64_t n = 0;
+  const Money amount = Money::FromMicros(1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (++n % kLedgerResetEvery == 0) fixture.Reset();
+    const crypto::Signature auth = fixture.Authorize(amount);
+    state.ResumeTiming();
+    const auto receipt =
+        fixture.bank->Transfer("alice", "broker", amount, auth, n);
+    if (!receipt.ok()) {
+      state.SkipWithError("signed transfer failed");
+      break;
+    }
+    benchmark::DoNotOptimize(receipt->bank_signature);
+  }
+}
+BENCHMARK(BM_BankSignedTransfer)->Unit(benchmark::kMicrosecond);
+
+// A fresh token through TokenAuthorizer::Authorize: the bank's and the
+// owner's signatures, the ledger check, the double-spend claim, and the
+// sub-account it funds. Paying the broker and minting the token are not
+// timed.
+void BM_TokenAuthorize(benchmark::State& state) {
+  BankFixture fixture;
+  const crypto::DistinguishedName dn{"SE", "KTH", "PDC", "alice"};
+  crypto::CertificateAuthority ca(
+      crypto::DistinguishedName{"SE", "SweGrid", "CA", "Root"},
+      crypto::TestGroup(), fixture.rng);
+  const crypto::Certificate certificate =
+      ca.Issue(dn, fixture.alice.public_key(), 0, 1LL << 60, fixture.rng);
+  std::unique_ptr<grid::TokenAuthorizer> authorizer;
+  const auto reset = [&] {
+    authorizer.reset();
+    fixture.Reset();
+    authorizer =
+        std::make_unique<grid::TokenAuthorizer>(*fixture.bank, "broker");
+    (void)authorizer->RegisterIdentity(certificate, ca, 0);
+  };
+  reset();
+  std::int64_t n = 0;
+  const Money amount = Money::FromMicros(1);
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (++n % kLedgerResetEvery == 0) reset();
+    const auto receipt = fixture.bank->Transfer(
+        "alice", "broker", amount, fixture.Authorize(amount), n);
+    const crypto::TransferToken token =
+        receipt.ok() ? crypto::MintToken(*receipt, dn.ToString(),
+                                         fixture.alice, fixture.rng)
+                     : crypto::TransferToken{};
+    state.ResumeTiming();
+    const auto funds = authorizer->Authorize(token, n);
+    if (!funds.ok()) {
+      state.SkipWithError("token authorization failed");
+      break;
+    }
+    benchmark::DoNotOptimize(funds->sub_account);
+  }
+}
+BENCHMARK(BM_TokenAuthorize)->Unit(benchmark::kMicrosecond);
 
 void BM_ArFit(benchmark::State& state) {
   Rng rng(4);

@@ -4,13 +4,18 @@
 // attached registry costs < 5% on the market's hottest path and that the
 // disabled configuration (no pointer attached — exactly what
 // Config.telemetry.enabled=false produces) costs nothing at all; both
-// are reported, not enforced. Exits non-zero if the timed ticks charged
-// nothing, since an overhead over empty ticks measures no market work.
+// are reported, not enforced. The three tick variants run in interleaved
+// rounds of at least 200 ms each; the times are medians over the rounds
+// and each overhead is the median of its per-round ratios to bare, so a
+// burst of load on a shared machine moves one round rather than one
+// side. Exits non-zero if the timed ticks charged nothing, since an
+// overhead over empty ticks measures no market work.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "experiment_common.hpp"
 #include "market/auctioneer.hpp"
@@ -28,10 +33,14 @@ double ElapsedUs(Clock::time_point start) {
       .count();
 }
 
+/// An auctioneer with `users` funded bidders, each with a runnable VM.
+/// Start() begins its auction timer and warms up two intervals, so every
+/// timed tick allocates slices and charges every bidder.
 struct TickFixture {
   sim::Kernel kernel;
   host::PhysicalHost host;
   market::Auctioneer auctioneer;
+  Money revenue_before;
 
   explicit TickFixture(int users)
       : host(MakeSpec(users)), auctioneer(host, kernel) {
@@ -46,6 +55,18 @@ struct TickFixture {
     }
   }
 
+  void Start() {
+    auctioneer.Start();
+    kernel.RunUntil(2 * market::kAuctionInterval);  // warm up allocations
+    revenue_before = auctioneer.total_revenue();
+  }
+
+  /// Stops the timer; false if the timed ticks charged nothing.
+  bool Stop() {
+    auctioneer.Stop();
+    return auctioneer.total_revenue() > revenue_before;
+  }
+
   static host::HostSpec MakeSpec(int users) {
     host::HostSpec spec;
     spec.id = "bench";
@@ -57,26 +78,29 @@ struct TickFixture {
   }
 };
 
-/// Best-of-3 timing of `ticks` auction ticks, in ns per tick. Each tick
-/// is one auction interval of kernel time after a warm-up, so it
-/// allocates slices and charges every bidder. Returns -1 if the ticks
-/// charged nothing.
-double TimeTicks(TickFixture& fixture, int ticks) {
+/// One repeat: auction ticks in batches of `kTickBatch` until at least
+/// `kRepeatUs` of wall time has passed, in ns per tick. Each tick is one
+/// auction interval of kernel time.
+double TimeTicks(TickFixture& fixture) {
+  constexpr int kTickBatch = 1000;
+  constexpr double kRepeatUs = 200e3;
   sim::Kernel& kernel = fixture.kernel;
-  market::Auctioneer& auctioneer = fixture.auctioneer;
-  auctioneer.Start();
-  kernel.RunUntil(2 * market::kAuctionInterval);  // warm up allocations
-  const Money revenue_before = auctioneer.total_revenue();
-  double best_us = 1e300;
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    const auto start = Clock::now();
-    for (int i = 0; i < ticks; ++i)
+  const auto start = Clock::now();
+  std::int64_t ticks = 0;
+  double us = 0.0;
+  do {
+    for (int i = 0; i < kTickBatch; ++i)
       kernel.RunUntil(kernel.now() + market::kAuctionInterval);
-    best_us = std::min(best_us, ElapsedUs(start));
-  }
-  auctioneer.Stop();
-  if (auctioneer.total_revenue() <= revenue_before) return -1.0;
-  return best_us * 1000.0 / ticks;
+    ticks += kTickBatch;
+    us = ElapsedUs(start);
+  } while (us < kRepeatUs);
+  return us * 1000.0 / static_cast<double>(ticks);
+}
+
+double Median(std::vector<double> values) {
+  const auto mid = values.begin() + values.size() / 2;
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
 }
 
 /// One round of `records` appends into a fresh store, in µs.
@@ -105,42 +129,70 @@ double AppendRound(const char* dir_name, telemetry::Telemetry* telemetry,
 
 int Run() {
   constexpr int kUsers = 15;
-  constexpr int kTicks = 20000;
   BenchResultFile results("telemetry");
   telemetry::Telemetry telemetry(1 << 16);
 
-  // -- auction tick: bare vs attached vs detached-again --
+  // -- auction tick: bare vs attached vs detached-again, interleaved --
   {
+    constexpr int kRounds = 7;
     TickFixture bare(kUsers);
-    const double bare_ns = TimeTicks(bare, kTicks);
-
     TickFixture attached(kUsers);
     attached.auctioneer.AttachTelemetry(&telemetry);
     // A traced account exercises the per-account instant path too.
     const telemetry::TraceId trace = telemetry.tracer().NewTrace();
     (void)attached.auctioneer.SetAccountTrace("u0", trace);
-    const double attached_ns = TimeTicks(attached, kTicks);
-
     TickFixture detached(kUsers);
     detached.auctioneer.AttachTelemetry(&telemetry);
     detached.auctioneer.AttachTelemetry(nullptr);
-    const double detached_ns = TimeTicks(detached, kTicks);
 
-    if (bare_ns < 0 || attached_ns < 0 || detached_ns < 0) {
+    TickFixture* const fixtures[3] = {&bare, &attached, &detached};
+    const char* const names[3] = {"bare", "telemetry", "detached"};
+    std::vector<double> ns[3];
+    for (TickFixture* fixture : fixtures) fixture->Start();
+    // Each round times all three, in an order that rotates per round so
+    // no variant always runs first.
+    for (int round = 0; round < kRounds; ++round) {
+      for (int k = 0; k < 3; ++k) {
+        const int v = (k + round) % 3;
+        ns[v].push_back(TimeTicks(*fixtures[v]));
+      }
+    }
+    bool charged = true;
+    for (TickFixture* fixture : fixtures) charged = fixture->Stop() && charged;
+    if (!charged) {
       std::printf("FAIL: auction ticks charged nothing: no slice was "
                   "allocated\n");
       return 1;
     }
+    const double bare_ns = Median(ns[0]);
+    const double attached_ns = Median(ns[1]);
+    const double detached_ns = Median(ns[2]);
+    for (int v = 0; v < 3; ++v) {
+      std::printf("auction tick %-9s ns/tick over %d rounds: median %.1f, "
+                  "range %.1f-%.1f\n",
+                  names[v], kRounds, Median(ns[v]),
+                  *std::min_element(ns[v].begin(), ns[v].end()),
+                  *std::max_element(ns[v].begin(), ns[v].end()));
+    }
 
-    const double enabled_pct = 100.0 * (attached_ns - bare_ns) / bare_ns;
-    const double disabled_pct = 100.0 * (detached_ns - bare_ns) / bare_ns;
+    // Each overhead is the median of its per-round ratios to bare: the
+    // three sides of one round run within a second of each other, so a
+    // slow stretch of the machine cancels out of the ratio.
+    const auto overhead_pct = [&](int v) {
+      std::vector<double> ratios;
+      for (int round = 0; round < kRounds; ++round)
+        ratios.push_back(ns[v][round] / ns[0][round]);
+      return 100.0 * (Median(ratios) - 1.0);
+    };
+    const double enabled_pct = overhead_pct(1);
+    const double disabled_pct = overhead_pct(2);
     results.Add("auction_tick_bare", bare_ns, "ns/tick");
     results.Add("auction_tick_telemetry", attached_ns, "ns/tick");
     results.Add("auction_tick_detached", detached_ns, "ns/tick");
     results.Add("auction_tick_overhead_enabled", enabled_pct, "%");
     results.Add("auction_tick_overhead_disabled", disabled_pct, "%");
-    std::printf("auction tick: bare %.1f ns, telemetry %.1f ns (%.2f%%), "
-                "detached %.1f ns (%.2f%%)\n",
+    std::printf("auction tick medians: bare %.1f ns, telemetry %.1f ns "
+                "(%.2f%%), detached %.1f ns (%.2f%%)\n",
                 bare_ns, attached_ns, enabled_pct, detached_ns, disabled_pct);
     std::printf("%s: enabled overhead %s 5%%\n",
                 enabled_pct < 5.0 ? "PASS" : "WARN",

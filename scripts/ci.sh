@@ -3,9 +3,9 @@
 # build + tests (warnings as errors), the telemetry smoke stage (chaos
 # example must emit a parseable JSONL with a complete job span chain), a
 # run of every other example (flash_crowd's scenario digest pinned), the
-# paper harnesses (stdout digests pinned), the auction-tick
-# microbenchmark, the telemetry overhead harness, the benchmark build,
-# logic tests and output checks, then the sanitizer job.
+# paper harnesses (stdout digests pinned), the auction-tick and the
+# bank/token microbenchmarks, the telemetry overhead harness, the
+# benchmark build, logic tests and output checks, then the sanitizer job.
 # Usage: scripts/ci.sh [ctest args...]
 set -euo pipefail
 
@@ -244,11 +244,40 @@ EOF
 echo "micro: every tick and kernel row ran; every tick row charged revenue"
 end_stage
 
+begin_stage "micro: bank and token" 60
+# The bank's two transfer kinds (unsigned between bank-managed accounts,
+# owner-signed with a bank-signed receipt) and one fresh token through
+# TokenAuthorizer::Authorize. A missing row, or one that stopped with an
+# error, fails here; the µs per call are printed for the record and gate
+# nothing.
+BANK_JSON="$SMOKE_DIR/bank_token.json"
+"$BUILD_DIR/bench/micro_benchmarks" \
+  --benchmark_filter='BM_Bank|BM_TokenAuthorize' \
+  --benchmark_min_time=0.05 --benchmark_out="$BANK_JSON" \
+  --benchmark_out_format=json
+python3 - "$BANK_JSON" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    rows = {row["name"]: row for row in json.load(f)["benchmarks"]}
+scale = {"ns": 1e-3, "us": 1.0, "ms": 1e3, "s": 1e6}
+for name in ("BM_BankInternalTransfer", "BM_BankSignedTransfer",
+             "BM_TokenAuthorize"):
+    row = rows.get(name)
+    if row is None or row.get("error_occurred"):
+        sys.exit(f"{name}: missing or errored: "
+                 f"{row and row.get('error_message')}")
+    us = row["real_time"] * scale[row["time_unit"]]
+    print(f"{name}: {us:.2f} us per call")
+EOF
+echo "micro: every bank and token row ran"
+end_stage
+
 begin_stage "telemetry overhead" 30
-# Times charging auction ticks and WAL appends bare, with telemetry
-# attached and detached again, and prints each overhead. The harness
-# exits non-zero if its ticks charged nothing, which fails this stage;
-# the < 5 % attached bound (DESIGN.md §8) is printed, not enforced.
+# Times charging auction ticks (seven interleaved rounds of at least
+# 200 ms per variant, medians reported) and WAL appends bare, with
+# telemetry attached and detached again, and prints each overhead. The
+# harness exits non-zero if its ticks charged nothing, which fails this
+# stage; the < 5 % attached bound (DESIGN.md §8) is printed, not enforced.
 (cd "$SMOKE_DIR" && "$OLDPWD/$BUILD_DIR/bench/telemetry_overhead")
 end_stage
 

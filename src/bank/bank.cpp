@@ -76,6 +76,7 @@ void Bank::AttachTelemetry(telemetry::Telemetry* telemetry) {
     creates_ctr_.store(nullptr, std::memory_order_relaxed);
     mints_ctr_.store(nullptr, std::memory_order_relaxed);
     transfers_ctr_.store(nullptr, std::memory_order_relaxed);
+    receipts_signed_ctr_.store(nullptr, std::memory_order_relaxed);
     transfer_amount_.store(nullptr, std::memory_order_relaxed);
     return;
   }
@@ -85,6 +86,9 @@ void Bank::AttachTelemetry(telemetry::Telemetry* telemetry) {
                    std::memory_order_relaxed);
   transfers_ctr_.store(telemetry->metrics().GetCounter("bank.transfers"),
                        std::memory_order_relaxed);
+  receipts_signed_ctr_.store(
+      telemetry->metrics().GetCounter("bank.receipts_signed"),
+      std::memory_order_relaxed);
   transfer_amount_.store(
       telemetry->metrics().GetSummary("bank.transfer_amount_dollars"),
       std::memory_order_relaxed);
@@ -156,11 +160,9 @@ Status Bank::Mint(const std::string& id, Money amount, std::int64_t now_us) {
   return Checkpoint();
 }
 
-Result<crypto::TransferReceipt> Bank::ExecuteTransfer(const std::string& from,
-                                                      const std::string& to,
-                                                      Money amount,
-                                                      std::int64_t now_us,
-                                                      bool bump_nonce) {
+Status Bank::ExecuteTransfer(const std::string& from, const std::string& to,
+                             Money amount, std::int64_t now_us,
+                             crypto::TransferReceipt* receipt) {
   Account* src = Find(from);
   Account* dst = Find(to);
   if (src == nullptr) return Status::NotFound("account: " + from);
@@ -173,42 +175,53 @@ Result<crypto::TransferReceipt> Bank::ExecuteTransfer(const std::string& from,
                   FormatMoney(src->balance).c_str(),
                   FormatMoney(amount).c_str()));
 
-  crypto::TransferReceipt receipt;
-  receipt.receipt_id = StrFormat(
-      "rcpt-%06llu-%s", static_cast<unsigned long long>(next_receipt_),
-      crypto::Sha256::HexDigest(from + "|" + to + "|" +
-                                std::to_string(next_receipt_))
-          .substr(0, 12)
-          .c_str());
-  receipt.from_account = from;
-  receipt.to_account = to;
-  receipt.amount = amount;
-  receipt.issued_at_us = now_us;
-  receipt.bank_signature = keys_.Sign(receipt.SigningPayload(), rng_);
+  // Only an owner-signed transfer yields a receipt: it is the one a party
+  // outside the bank (the broker, via the user's token) will check.
+  const bool owner_signed = receipt != nullptr;
+  if (owner_signed) {
+    receipt->receipt_id = StrFormat(
+        "rcpt-%06llu-%s", static_cast<unsigned long long>(next_receipt_),
+        crypto::Sha256::HexDigest(from + "|" + to + "|" +
+                                  std::to_string(next_receipt_))
+            .substr(0, 12)
+            .c_str());
+    receipt->from_account = from;
+    receipt->to_account = to;
+    receipt->amount = amount;
+    receipt->issued_at_us = now_us;
+    receipt->bank_signature = keys_.Sign(receipt->SigningPayload(), rng_);
+  }
 
+  // An internal record carries an empty receipt id and signature.
   net::Writer record;
   record.WriteU8(kRecordTransfer);
   record.WriteString(from);
   record.WriteString(to);
   record.WriteI64(amount.micros());
   record.WriteI64(now_us);
-  record.WriteString(receipt.receipt_id);
-  record.WriteString(receipt.bank_signature.Encode());
-  record.WriteBool(bump_nonce);
+  record.WriteString(owner_signed ? receipt->receipt_id : std::string());
+  record.WriteString(owner_signed ? receipt->bank_signature.Encode()
+                                  : std::string());
+  record.WriteBool(owner_signed);
   GM_RETURN_IF_ERROR(Journal(record));
 
   src->balance -= amount;
   dst->balance += amount;
-  if (bump_nonce) ++src->transfer_nonce;
+  // Every transfer advances the counter, signed or not, so receipt numbers
+  // and LedgerHash's "receipts|N" do not depend on which ones were signed.
   ++next_receipt_;
-  issued_receipts_.emplace(receipt.receipt_id, receipt);
+  if (owner_signed) {
+    ++src->transfer_nonce;
+    issued_receipts_.emplace(receipt->receipt_id, *receipt);
+    if (auto* ctr = receipts_signed_ctr_.load(std::memory_order_relaxed))
+      ctr->Inc();
+  }
   audit_.push_back({now_us, "transfer", from, to, amount});
   if (auto* ctr = transfers_ctr_.load(std::memory_order_relaxed))
     ctr->Inc();
   if (auto* amounts = transfer_amount_.load(std::memory_order_relaxed))
     amounts->Observe(amount.dollars());
-  GM_RETURN_IF_ERROR(Checkpoint());
-  return receipt;
+  return Checkpoint();
 }
 
 Result<crypto::TransferReceipt> Bank::Transfer(const std::string& from,
@@ -229,13 +242,13 @@ Result<crypto::TransferReceipt> Bank::Transfer(const std::string& from,
     return Status::PermissionDenied(
         "bank-managed account requires InternalTransfer");
   }
-  return ExecuteTransfer(from, to, amount, now_us, /*bump_nonce=*/true);
+  crypto::TransferReceipt receipt;
+  GM_RETURN_IF_ERROR(ExecuteTransfer(from, to, amount, now_us, &receipt));
+  return receipt;
 }
 
-Result<crypto::TransferReceipt> Bank::InternalTransfer(const std::string& from,
-                                                       const std::string& to,
-                                                       Money amount,
-                                                       std::int64_t now_us) {
+Status Bank::InternalTransfer(const std::string& from, const std::string& to,
+                              Money amount, std::int64_t now_us) {
   gm::MutexLock lock(&mu_);
   if (crashed_) return BankDown();
   const Account* src = Find(from);
@@ -243,7 +256,7 @@ Result<crypto::TransferReceipt> Bank::InternalTransfer(const std::string& from,
   if (!(src->owner_key == crypto::PublicKey()))
     return Status::PermissionDenied(
         "owner-keyed account requires a signed Transfer");
-  return ExecuteTransfer(from, to, amount, now_us, /*bump_nonce=*/false);
+  return ExecuteTransfer(from, to, amount, now_us, /*receipt=*/nullptr);
 }
 
 Result<Money> Bank::Balance(const std::string& id) const {
@@ -282,14 +295,11 @@ Status Bank::VerifyReceipt(const crypto::TransferReceipt& receipt) const {
   if (it == issued_receipts_.end())
     return Status::NotFound("receipt not issued by this bank: " +
                             receipt.receipt_id);
-  // Compare against the ledger copy, not just the signature, so a receipt
-  // with mutated fields is rejected even if the signature were forgeable.
-  const crypto::TransferReceipt& ledger = it->second;
-  if (ledger.SigningPayload() != receipt.SigningPayload())
+  // Every field, signature bytes included, must equal the copy the bank
+  // signed. That is at least as strict as re-verifying the signature, and
+  // VerifyToken has already checked it against public_key().
+  if (!(it->second == receipt))
     return Status::PermissionDenied("receipt does not match ledger");
-  if (!keys_.public_key().Verify(receipt.SigningPayload(),
-                                 receipt.bank_signature))
-    return Status::Unauthenticated("receipt signature invalid");
   return Status::Ok();
 }
 
@@ -407,7 +417,7 @@ Status Bank::ApplyRecord(const Bytes& record) GM_NO_THREAD_SAFETY_ANALYSIS {
       const Money amount = Money::FromMicros(amount_micros);
       GM_ASSIGN_OR_RETURN(const std::string receipt_id, reader.ReadString());
       GM_ASSIGN_OR_RETURN(const std::string sig, reader.ReadString());
-      GM_ASSIGN_OR_RETURN(const bool bump_nonce, reader.ReadBool());
+      GM_ASSIGN_OR_RETURN(const bool owner_signed, reader.ReadBool());
       Account* src = Find(from);
       Account* dst = Find(to);
       if (src == nullptr || dst == nullptr)
@@ -416,7 +426,13 @@ Status Bank::ApplyRecord(const Bytes& record) GM_NO_THREAD_SAFETY_ANALYSIS {
         return Status::Internal("replay transfer overdraws " + from);
       src->balance -= amount;
       dst->balance += amount;
-      if (bump_nonce) ++src->transfer_nonce;
+      ++next_receipt_;
+      audit_.push_back({at_us, "transfer", from, to, amount});
+      // An internal record is unsigned; an older journal may still carry an
+      // id and a signature for one, which nothing can present, so they are
+      // dropped.
+      if (!owner_signed) return Status::Ok();
+      ++src->transfer_nonce;
       crypto::TransferReceipt receipt;
       receipt.receipt_id = receipt_id;
       receipt.from_account = from;
@@ -426,8 +442,6 @@ Status Bank::ApplyRecord(const Bytes& record) GM_NO_THREAD_SAFETY_ANALYSIS {
       GM_ASSIGN_OR_RETURN(receipt.bank_signature,
                           crypto::Signature::Decode(sig));
       issued_receipts_[receipt_id] = std::move(receipt);
-      ++next_receipt_;
-      audit_.push_back({at_us, "transfer", from, to, amount});
       return Status::Ok();
     }
     default:

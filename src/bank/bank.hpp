@@ -5,7 +5,9 @@
 // market side verifies as payment capabilities. Sub-accounts model the
 // broker pattern from Section 3.1: verified token funds are moved into a
 // per-user sub-account of the broker account, which then funds host
-// accounts.
+// accounts. Those bank-managed moves are unsigned: only the owner's
+// transfer into the broker yields a receipt a party outside the bank
+// checks, so it is the only one the bank signs.
 //
 // Money is integer micro-dollars; the bank maintains the conservation
 // invariant sum(balances) == total minted, checked by CheckInvariants().
@@ -15,7 +17,7 @@
 // before the in-memory ledger changes, so a crash at any point loses at
 // most the operation in flight, never a half-applied one. Restart()
 // rebuilds the exact pre-crash ledger (balances, escrow sub-accounts,
-// nonces, receipts, audit log) from snapshot + log replay; LedgerHash()
+// nonces, signed receipts, audit log) from snapshot + log replay; LedgerHash()
 // lets tests assert the recovered ledger is identical.
 //
 // Thread safety: one mutex (rank kBank) guards the whole ledger — every
@@ -83,7 +85,8 @@ class Bank : public store::Recoverable {
 
   /// Owner-authorized transfer: `auth` must be a signature by the `from`
   /// account's key over TransferAuthPayload(from, to, amount, nonce) with
-  /// the account's current nonce. Returns a bank-signed receipt.
+  /// the account's current nonce. Returns a bank-signed receipt, the one
+  /// the payer binds to a Grid DN in a TransferToken.
   Result<crypto::TransferReceipt> Transfer(const std::string& from,
                                            const std::string& to,
                                            Money amount,
@@ -91,11 +94,11 @@ class Bank : public store::Recoverable {
                                            std::int64_t now_us);
 
   /// Transfer between bank-managed accounts (sub-accounts / host accounts);
-  /// no owner signature exists for these.
-  Result<crypto::TransferReceipt> InternalTransfer(const std::string& from,
-                                                   const std::string& to,
-                                                   Money amount,
-                                                   std::int64_t now_us);
+  /// no owner signature exists for these. Nobody outside the bank holds a
+  /// receipt for it, so none is signed; it is journaled and still takes a
+  /// receipt number.
+  Status InternalTransfer(const std::string& from, const std::string& to,
+                          Money amount, std::int64_t now_us);
 
   Result<Money> Balance(const std::string& id) const;
   /// Current nonce the owner must sign for the next Transfer.
@@ -103,8 +106,10 @@ class Bank : public store::Recoverable {
   Result<crypto::PublicKey> OwnerKey(const std::string& id) const;
   bool HasAccount(const std::string& id) const;
 
-  /// Re-verify a receipt the bank claims to have issued: signature valid
-  /// and present in the ledger.
+  /// Check a receipt the bank claims to have issued: it must equal, field
+  /// for field and signature bytes included, the copy the bank signed.
+  /// The signature itself is not re-verified (VerifyToken checks it against
+  /// public_key()). Internal transfers have no receipt: kNotFound.
   Status VerifyReceipt(const crypto::TransferReceipt& receipt) const;
 
   const crypto::PublicKey& public_key() const {
@@ -152,14 +157,18 @@ class Bank : public store::Recoverable {
   void WriteSnapshot(net::Writer& writer) const override;
   Status LoadSnapshot(net::Reader& reader) override;
 
-  /// Count ledger operations (creates, mints, transfers) and observe
-  /// transfer amounts into the registry. nullptr detaches.
+  /// Count ledger operations (creates, mints, transfers, and the signed
+  /// receipts among the transfers) and observe transfer amounts into the
+  /// registry. nullptr detaches.
   void AttachTelemetry(telemetry::Telemetry* telemetry);
 
  private:
-  Result<crypto::TransferReceipt> ExecuteTransfer(
-      const std::string& from, const std::string& to, Money amount,
-      std::int64_t now_us, bool bump_nonce) GM_REQUIRES(mu_);
+  /// Move `amount` and journal it. With `receipt` non-null (an
+  /// owner-signed Transfer) it also bumps the payer's nonce and signs the
+  /// receipt into *receipt; a null `receipt` is an unsigned internal move.
+  Status ExecuteTransfer(const std::string& from, const std::string& to,
+                         Money amount, std::int64_t now_us,
+                         crypto::TransferReceipt* receipt) GM_REQUIRES(mu_);
   Account* Find(const std::string& id) GM_REQUIRES(mu_);
   const Account* Find(const std::string& id) const GM_REQUIRES(mu_);
   /// Append one journal record + auto-checkpoint; no-op without a store.
@@ -186,6 +195,7 @@ class Bank : public store::Recoverable {
   std::atomic<telemetry::Counter*> creates_ctr_{nullptr};
   std::atomic<telemetry::Counter*> mints_ctr_{nullptr};
   std::atomic<telemetry::Counter*> transfers_ctr_{nullptr};
+  std::atomic<telemetry::Counter*> receipts_signed_ctr_{nullptr};
   std::atomic<telemetry::Summary*> transfer_amount_{nullptr};
 };
 

@@ -20,6 +20,8 @@
 namespace gm::crypto {
 
 /// Signed proof that `amount` moved from `from_account` to `to_account`.
+/// The bank issues one only for an owner-authorized transfer (the payment
+/// into the broker); its moves between bank-managed accounts have none.
 struct TransferReceipt {
   std::string receipt_id;    // unique id assigned by the bank
   std::string from_account;
@@ -30,6 +32,9 @@ struct TransferReceipt {
 
   /// Canonical byte string covered by the bank signature.
   std::string SigningPayload() const;
+
+  friend bool operator==(const TransferReceipt&,
+                         const TransferReceipt&) = default;
 };
 
 /// A receipt bound to a Grid identity by the paying account's owner.

@@ -37,7 +37,9 @@ Result<AuthorizedFunds> TokenAuthorizer::Authorize(
   GM_RETURN_IF_ERROR(crypto::VerifyToken(token, bank_.public_key(), payer_key,
                                          broker_account_));
 
-  // (c) The transfer must actually be in the bank ledger.
+  // (c) The transfer must actually be in the bank ledger: the receipt must
+  // equal the bank's signed copy. (b) has already verified its signature
+  // once, so the bank compares bytes rather than verifying again.
   GM_RETURN_IF_ERROR(bank_.VerifyReceipt(token.receipt));
 
   // (d) First use of this receipt.
@@ -53,8 +55,7 @@ Result<AuthorizedFunds> TokenAuthorizer::Authorize(
       static_cast<unsigned long long>(next_sub_++), digest.c_str());
   GM_RETURN_IF_ERROR(bank_.CreateSubAccount(broker_account_, sub_account));
   GM_RETURN_IF_ERROR(bank_.InternalTransfer(broker_account_, sub_account,
-                                            token.receipt.amount, now_us)
-                         .status());
+                                            token.receipt.amount, now_us));
   AuthorizedFunds funds;
   funds.sub_account = sub_account;
   funds.amount = token.receipt.amount;

@@ -52,8 +52,7 @@ Status GridBroker::Boost(std::uint64_t job_id,
         "boost token maps to a different Grid identity than the job");
   // Merge the freshly authorized funds into the job's sub-account.
   GM_RETURN_IF_ERROR(bank_.InternalTransfer(funds.sub_account, job->account,
-                                            funds.amount, kernel_.now())
-                         .status());
+                                            funds.amount, kernel_.now()));
   return plugin_.Boost(job_id, funds.amount);
 }
 

@@ -495,8 +495,7 @@ Status TycoonSchedulerPlugin::FundHost(ActiveJob& job, HostBinding& binding,
   // host-local market account.
   GM_RETURN_IF_ERROR(bank_.InternalTransfer(record.account,
                                             binding.bank_account, amount,
-                                            kernel_.now())
-                         .status());
+                                            kernel_.now()));
   GM_RETURN_IF_ERROR(binding.auctioneer->Fund(record.account, amount));
   // Tag the market account so the auctioneer's charged ticks land in the
   // job's trace. Deliberate discard: tracing is advisory and must never
@@ -515,8 +514,7 @@ Status TycoonSchedulerPlugin::ReclaimHost(JobRecord& record,
   if (refund.ok() && refund->is_positive()) {
     GM_RETURN_IF_ERROR(bank_.InternalTransfer(binding.bank_account,
                                               record.account, *refund,
-                                              kernel_.now())
-                           .status());
+                                              kernel_.now()));
     distributed -= *refund;
   }
   return Status::Ok();

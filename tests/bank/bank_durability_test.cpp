@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "bank/bank.hpp"
+#include "net/serialize.hpp"
 #include "store/store.hpp"
 
 namespace gm::bank {
@@ -182,6 +185,95 @@ TEST_F(BankDurabilityTest, TornTailLosesOnlyTheTornTransfer) {
   EXPECT_EQ(recovered.Balance("alice").value(), Money::Dollars(1000));
   EXPECT_EQ(recovered.Balance("bob").value(), Money::Zero());
   EXPECT_TRUE(recovered.CheckInvariants().ok());
+}
+
+// A journal written before internal transfers went unsigned carries a
+// receipt id and a bank signature on every transfer record. Such a record
+// still applies, and lands on the same ledger as today's unsigned one.
+TEST_F(BankDurabilityTest, ParentFormatInternalRecordReplays) {
+  const auto seed_ledger = [](Bank& bank) {
+    EXPECT_TRUE(bank.CreateAccount("pool", {}).ok());
+    EXPECT_TRUE(bank.CreateSubAccount("pool", "pool/job").ok());
+    EXPECT_TRUE(bank.Mint("pool", Money::Dollars(100), 0).ok());
+  };
+  Bank live(crypto::TestGroup(), 42);
+  seed_ledger(live);
+  ASSERT_TRUE(
+      live.InternalTransfer("pool", "pool/job", Money::Dollars(40), 5).ok());
+
+  const fs::path dir = FreshDir("parent_format");
+  const std::string receipt_id = "rcpt-000001-0123456789ab";
+  {
+    auto store = OpenStore(dir);
+    Bank bank(crypto::TestGroup(), 42);
+    bank.AttachStore(store.get());
+    seed_ledger(bank);
+    // The older layout: kind 4, from, to, amount, at, receipt id, encoded
+    // signature, bump_nonce = false.
+    net::Writer record;
+    record.WriteU8(4);
+    record.WriteString("pool");
+    record.WriteString("pool/job");
+    record.WriteI64(Money::Dollars(40).micros());
+    record.WriteI64(5);
+    record.WriteString(receipt_id);
+    record.WriteString(alice_.Sign("any payload", rng_).Encode());
+    record.WriteBool(false);
+    ASSERT_TRUE(store->Append(record.data()).ok());
+  }
+  auto store = OpenStore(dir);
+  Bank recovered(crypto::TestGroup(), 42);
+  recovered.AttachStore(store.get());
+  ASSERT_TRUE(recovered.RecoverFromStore().ok());
+  EXPECT_EQ(recovered.LedgerHash(), live.LedgerHash());
+  EXPECT_EQ(recovered.Balance("pool/job").value(), Money::Dollars(40));
+  EXPECT_TRUE(recovered.CheckInvariants().ok());
+  crypto::TransferReceipt dropped;
+  dropped.receipt_id = receipt_id;
+  EXPECT_EQ(recovered.VerifyReceipt(dropped).code(), StatusCode::kNotFound);
+}
+
+// Signed and internal transfers interleaved in one journal recover to the
+// live ledger both by pure replay and by snapshot plus tail, and every
+// signed receipt still verifies afterwards.
+TEST_F(BankDurabilityTest, MixedSignedAndInternalJournalRecovers) {
+  for (const std::uint64_t snapshot_every : {0u, 5u}) {
+    const fs::path dir =
+        FreshDir("mixed" + std::to_string(snapshot_every));
+    store::StoreOptions options;
+    options.snapshot_every_records = snapshot_every;
+    std::string hash_live;
+    std::vector<crypto::TransferReceipt> receipts;
+    {
+      auto store = OpenStore(dir, options);
+      auto bank = MakeBank(store.get());
+      ASSERT_TRUE(bank->CreateSubAccount("bob", "bob/jobs").ok());
+      for (int i = 0; i < 12; ++i) {
+        const Money amount = Money::Dollars(2 + i % 3);
+        const auto auth = Authorize(*bank, alice_, "alice", "bob", amount);
+        const auto receipt = bank->Transfer("alice", "bob", amount, auth, i);
+        ASSERT_TRUE(receipt.ok());
+        receipts.push_back(*receipt);
+        ASSERT_TRUE(bank->Mint("bob/jobs", Money::Dollars(1), i).ok());
+        ASSERT_TRUE(
+            bank->InternalTransfer("bob/jobs", "bob", Money::Dollars(1), i)
+                .ok());
+      }
+      if (snapshot_every != 0) {
+        ASSERT_GT(store->stats().snapshots_written, 0u);
+      }
+      hash_live = bank->LedgerHash();
+    }
+    auto store = OpenStore(dir, options);
+    Bank recovered(crypto::TestGroup(), 42);
+    recovered.AttachStore(store.get());
+    ASSERT_TRUE(recovered.RecoverFromStore().ok());
+    EXPECT_EQ(recovered.LedgerHash(), hash_live)
+        << "snapshot_every " << snapshot_every;
+    EXPECT_TRUE(recovered.CheckInvariants().ok());
+    for (const auto& receipt : receipts)
+      EXPECT_TRUE(recovered.VerifyReceipt(receipt).ok()) << receipt.receipt_id;
+  }
 }
 
 // Property: replaying the same journal always rebuilds a byte-identical

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/sha256.hpp"
+
 namespace gm::bank {
 namespace {
 
@@ -114,17 +116,16 @@ TEST_F(BankTest, InternalTransferBetweenManagedAccounts) {
       bank_.Transfer("bob", "bob/sub", Money::Dollars(10), auth, 0).ok());
   // Sub-account to another managed account without signature.
   ASSERT_TRUE(bank_.CreateSubAccount("bob", "bob/host-1").ok());
-  const auto receipt = bank_.InternalTransfer("bob/sub", "bob/host-1",
-                                              Money::Dollars(4), 0);
-  ASSERT_TRUE(receipt.ok());
+  ASSERT_TRUE(
+      bank_.InternalTransfer("bob/sub", "bob/host-1", Money::Dollars(4), 0)
+          .ok());
   EXPECT_EQ(bank_.Balance("bob/host-1").value(), Money::Dollars(4));
   EXPECT_TRUE(bank_.CheckInvariants().ok());
 }
 
 TEST_F(BankTest, InternalTransferRejectedForOwnerKeyedAccount) {
-  const auto receipt =
-      bank_.InternalTransfer("alice", "bob", Money::Dollars(1), 0);
-  EXPECT_EQ(receipt.status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(bank_.InternalTransfer("alice", "bob", Money::Dollars(1), 0).code(),
+            StatusCode::kPermissionDenied);
 }
 
 TEST_F(BankTest, SignedTransferRejectedForManagedAccount) {
@@ -149,6 +150,52 @@ TEST_F(BankTest, ReceiptVerification) {
   crypto::TransferReceipt unknown = *receipt;
   unknown.receipt_id = "rcpt-999999-deadbeef";
   EXPECT_EQ(bank_.VerifyReceipt(unknown).code(), StatusCode::kNotFound);
+}
+
+// An internal transfer signs nothing: the receipt the bank would have
+// numbered for it is unknown to VerifyReceipt, yet it still takes a
+// receipt number, so the next signed Transfer's id is unchanged.
+TEST_F(BankTest, InternalTransferIssuesNoReceipt) {
+  ASSERT_TRUE(bank_.CreateSubAccount("bob", "bob/sub").ok());
+  ASSERT_TRUE(bank_.CreateSubAccount("bob", "bob/host-1").ok());
+  ASSERT_TRUE(bank_.Mint("bob/sub", Money::Dollars(10), 0).ok());
+  ASSERT_TRUE(
+      bank_.InternalTransfer("bob/sub", "bob/host-1", Money::Dollars(4), 77)
+          .ok());
+
+  crypto::TransferReceipt rebuilt;
+  rebuilt.receipt_id =
+      "rcpt-000001-" +
+      crypto::Sha256::HexDigest("bob/sub|bob/host-1|1").substr(0, 12);
+  rebuilt.from_account = "bob/sub";
+  rebuilt.to_account = "bob/host-1";
+  rebuilt.amount = Money::Dollars(4);
+  rebuilt.issued_at_us = 77;
+  EXPECT_EQ(bank_.VerifyReceipt(rebuilt).code(), StatusCode::kNotFound);
+  rebuilt.receipt_id.clear();
+  EXPECT_EQ(bank_.VerifyReceipt(rebuilt).code(), StatusCode::kNotFound);
+
+  const auto auth = Authorize(alice_, "alice", "bob", Money::Dollars(1));
+  const auto signed_receipt =
+      bank_.Transfer("alice", "bob", Money::Dollars(1), auth, 78);
+  ASSERT_TRUE(signed_receipt.ok());
+  EXPECT_EQ(signed_receipt->receipt_id.substr(0, 12), "rcpt-000002-");
+  EXPECT_TRUE(bank_.VerifyReceipt(*signed_receipt).ok());
+}
+
+// Same payload, different signature bytes: the bank compares the presented
+// receipt with its signed copy, so the altered one is refused.
+TEST_F(BankTest, ReceiptWithAlteredSignatureIsRejected) {
+  const Money amount = Money::Dollars(3);
+  const auto auth = Authorize(alice_, "alice", "bob", amount);
+  const auto receipt = bank_.Transfer("alice", "bob", amount, auth, 0);
+  ASSERT_TRUE(receipt.ok());
+  crypto::TransferReceipt altered = *receipt;
+  altered.bank_signature.s = altered.bank_signature.s + crypto::U256(1);
+  ASSERT_EQ(altered.SigningPayload(), receipt->SigningPayload());
+  EXPECT_EQ(bank_.VerifyReceipt(altered).code(),
+            StatusCode::kPermissionDenied);
+  EXPECT_TRUE(bank_.VerifyReceipt(*receipt).ok());
 }
 
 TEST_F(BankTest, ReceiptIdsAreUnique) {

@@ -92,6 +92,11 @@ TEST(TelemetryE2eTest, JobLifecycleIsOneCompleteSpanChain) {
   ASSERT_TRUE(snapshot.ok());
   EXPECT_GT(snapshot->CounterOr("market.auction.ticks"), 0u);
   EXPECT_GT(snapshot->CounterOr("bank.transfers"), 0u);
+  // The bank signs only the user's payment into the broker (one PayBroker
+  // per submit); the broker and escrow moves after it are unsigned.
+  EXPECT_EQ(snapshot->CounterOr("bank.receipts_signed"), 1u);
+  EXPECT_LT(snapshot->CounterOr("bank.receipts_signed"),
+            snapshot->CounterOr("bank.transfers"));
   EXPECT_GT(snapshot->summaries.at("predict.persistence.abs_err").count, 0u);
 }
 
