@@ -5,9 +5,11 @@
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 
 #include "bank/bank.hpp"
 #include "bestresponse/best_response.hpp"
+#include "common/proc_io.hpp"
 #include "common/rng.hpp"
 #include "crypto/identity.hpp"
 #include "crypto/schnorr.hpp"
@@ -357,9 +359,15 @@ void BM_WalAppend(benchmark::State& state) {
   const auto dir = BenchStoreDir("gm_bench_wal_append");
   auto wal = store::WriteAheadLog::Open(dir.string());
   const Bytes payload(payload_size, 0xAB);
+  const std::optional<std::uint64_t> syscalls_before = WriteSyscalls();
   for (auto _ : state) {
     benchmark::DoNotOptimize((*wal)->Append(payload));
   }
+  const std::optional<std::uint64_t> syscalls_after = WriteSyscalls();
+  if (syscalls_before && syscalls_after && state.iterations() > 0)
+    state.counters["write_syscalls_per_append"] =
+        static_cast<double>(*syscalls_after - *syscalls_before) /
+        static_cast<double>(state.iterations());
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(payload_size));
   std::filesystem::remove_all(dir);

@@ -3,8 +3,8 @@
 # build + tests (warnings as errors), the telemetry smoke stage (chaos
 # example must emit a parseable JSONL with a complete job span chain), a
 # run of every other example (flash_crowd's scenario digest pinned), the
-# paper harnesses (stdout digests pinned), the auction-tick and the
-# bank/token microbenchmarks, the telemetry overhead harness, the
+# paper harnesses (stdout digests pinned), the auction-tick, bank/token
+# and WAL microbenchmarks, the telemetry overhead harness, the
 # benchmark build, logic tests and output checks, then the sanitizer job.
 # Usage: scripts/ci.sh [ctest args...]
 set -euo pipefail
@@ -270,6 +270,42 @@ for name in ("BM_BankInternalTransfer", "BM_BankSignedTransfer",
     print(f"{name}: {us:.2f} us per call")
 EOF
 echo "micro: every bank and token row ran"
+end_stage
+
+begin_stage "micro: WAL" 60
+# The journal's append (64 B and 1 KB payloads) and replay (1k and 10k
+# records) rows. A missing or errored row fails here. The ns per append,
+# the write-family syscalls per append (the mapped segment makes none per
+# record; "n/a" where /proc/self/io is unreadable) and the ns per
+# replayed record are printed for the record and gate nothing.
+WAL_JSON="$SMOKE_DIR/wal.json"
+"$BUILD_DIR/bench/micro_benchmarks" \
+  --benchmark_filter='BM_WalAppend|BM_WalReplay' \
+  --benchmark_min_time=0.05 --benchmark_out="$WAL_JSON" \
+  --benchmark_out_format=json
+python3 - "$WAL_JSON" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    rows = {row["name"]: row for row in json.load(f)["benchmarks"]}
+scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+for name in ("BM_WalAppend/64", "BM_WalAppend/1024",
+             "BM_WalReplay/1000", "BM_WalReplay/10000"):
+    row = rows.get(name)
+    if row is None or row.get("error_occurred"):
+        sys.exit(f"{name}: missing or errored: "
+                 f"{row and row.get('error_message')}")
+for size in (64, 1024):
+    row = rows[f"BM_WalAppend/{size}"]
+    ns = row["real_time"] * scale[row["time_unit"]]
+    syscalls = row.get("write_syscalls_per_append")
+    shown = "n/a" if syscalls is None else f"{syscalls:.4f}"
+    print(f"WAL append {size} B: {ns:.1f} ns, {shown} write syscalls")
+for records in (1000, 10000):
+    row = rows[f"BM_WalReplay/{records}"]
+    print(f"WAL replay of {records}: "
+          f"{1e9 / row['items_per_second']:.1f} ns per record")
+EOF
+echo "micro: every WAL row ran"
 end_stage
 
 begin_stage "telemetry overhead" 30

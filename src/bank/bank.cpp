@@ -1,5 +1,6 @@
 #include "bank/bank.hpp"
 
+#include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "crypto/sha256.hpp"
 #include "net/serialize.hpp"
@@ -38,9 +39,18 @@ std::string TransferAuthPayload(const std::string& from, const std::string& to,
                    static_cast<unsigned long long>(nonce));
 }
 
+namespace {
+
+crypto::KeyPair GenerateKeys(const crypto::SchnorrGroup& group,
+                             std::uint64_t seed) {
+  Rng rng(seed);
+  return crypto::KeyPair::Generate(group, rng);
+}
+
+}  // namespace
+
 Bank::Bank(const crypto::SchnorrGroup& group, std::uint64_t seed)
-    : group_(&group), rng_(seed),
-      keys_(crypto::KeyPair::Generate(group, rng_)) {}
+    : group_(&group), keys_(GenerateKeys(group, seed)) {}
 
 Account* Bank::Find(const std::string& id) {
   const auto it = accounts_.find(id);
@@ -189,7 +199,7 @@ Status Bank::ExecuteTransfer(const std::string& from, const std::string& to,
     receipt->to_account = to;
     receipt->amount = amount;
     receipt->issued_at_us = now_us;
-    receipt->bank_signature = keys_.Sign(receipt->SigningPayload(), rng_);
+    receipt->bank_signature = keys_.Sign(receipt->SigningPayload());
   }
 
   // An internal record carries an empty receipt id and signature.

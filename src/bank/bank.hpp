@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "common/concurrency.hpp"
-#include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/units.hpp"
 #include "crypto/schnorr.hpp"
@@ -68,7 +67,8 @@ std::string TransferAuthPayload(const std::string& from, const std::string& to,
 
 class Bank : public store::Recoverable {
  public:
-  /// The bank signs receipts with its own keypair in `group`.
+  /// The bank signs receipts with its own keypair in `group`, generated
+  /// from `seed`.
   Bank(const crypto::SchnorrGroup& group, std::uint64_t seed);
 
   /// Create a root account bound to an owner key.
@@ -179,8 +179,9 @@ class Bank : public store::Recoverable {
 
   const crypto::SchnorrGroup* group_;  // immutable after construction
   mutable gm::Mutex mu_{"bank.ledger", gm::lockrank::kBank};
-  Rng rng_ GM_GUARDED_BY(mu_);  // receipt signing nonces
-  // Immutable after construction (declared after rng_, which seeds it).
+  // Immutable after construction. Receipts are signed with nonces derived
+  // from the key and the receipt, so a bank rebuilt from its journal (or
+  // from a journal that lost its tail) never reuses one.
   const crypto::KeyPair keys_;
   std::map<std::string, Account> accounts_ GM_GUARDED_BY(mu_);
   std::map<std::string, crypto::TransferReceipt> issued_receipts_

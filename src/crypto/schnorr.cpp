@@ -65,16 +65,42 @@ KeyPair KeyPair::Generate(const SchnorrGroup& group, Rng& rng) {
   return KeyPair(&group, x, PublicKey(&group, y));
 }
 
-Signature KeyPair::Sign(std::string_view message, Rng& rng) const {
+Signature KeyPair::SignWithNonce(
+    std::string_view message, const std::function<U256()>& draw_nonce) const {
   const SchnorrGroup& g = *group_;
   for (;;) {
-    const U256 k = U256::RandomBelow(g.q - U256::One(), rng) + U256::One();
+    const U256 k = draw_nonce();
     const U256 r = ModExp(g.g, k, g.p);
     const U256 e = HashToZq(r, message, g.q);
     if (e.IsZero()) continue;  // degenerate challenge; redraw nonce
     const U256 s = ModAdd(k, ModMul(x_, e, g.q), g.q);
     return Signature{e, s};
   }
+}
+
+Signature KeyPair::Sign(std::string_view message, Rng& rng) const {
+  const U256 q_minus_one = group_->q - U256::One();
+  // k uniform in [1, q).
+  return SignWithNonce(message, [&] {
+    return U256::RandomBelow(q_minus_one, rng) + U256::One();
+  });
+}
+
+Signature KeyPair::Sign(std::string_view message) const {
+  const U256 q_minus_one = group_->q - U256::One();
+  std::uint8_t attempt = 0;
+  // k = H(x || attempt || message) mod (q - 1) + 1: the 256-bit digest
+  // reduced mod q - 1 is uniform to within 2^(|q| - 256).
+  return SignWithNonce(message, [&] {
+    Sha256 hasher;
+    hasher.Update(x_.ToBytes());
+    hasher.Update(&attempt, 1);
+    hasher.Update(message);
+    ++attempt;
+    const auto wide = U256::FromBytes(DigestToBytes(hasher.Finalize()));
+    GM_ASSERT(wide.ok(), "digest width mismatch");
+    return Mod(*wide, q_minus_one) + U256::One();
+  });
 }
 
 }  // namespace gm::crypto

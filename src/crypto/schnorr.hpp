@@ -1,6 +1,7 @@
 // Schnorr signatures over a prime-order subgroup.
 //
-// Sign:   k random in [1, q),  r = g^k mod p,
+// Sign:   k in [1, q) (random, or derived from x and the message),
+//         r = g^k mod p,
 //         e = H(r || message) mod q,  s = (k + x*e) mod q.
 // Verify: r' = g^s * y^(-e) mod p,  accept iff H(r' || message) mod q == e.
 //
@@ -8,6 +9,7 @@
 // transfer receipts and users sign (receipt || Grid DN) mappings.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -56,12 +58,21 @@ class KeyPair {
   /// the keypair (library groups are process-static).
   static KeyPair Generate(const SchnorrGroup& group, Rng& rng);
 
+  /// Sign with a nonce drawn from `rng`. Two signatures over different
+  /// messages with one nonce reveal the private key, so `rng` must never
+  /// repeat a stream this key has signed from.
   Signature Sign(std::string_view message, Rng& rng) const;
+  /// Sign with a nonce derived from the private key and the message
+  /// (RFC 6979 style): a signer that restarts from any state can never
+  /// reuse a nonce for a different message.
+  Signature Sign(std::string_view message) const;
   const PublicKey& public_key() const { return public_key_; }
 
  private:
   KeyPair(const SchnorrGroup* group, U256 x, PublicKey pub)
       : group_(group), x_(x), public_key_(pub) {}
+  Signature SignWithNonce(std::string_view message,
+                          const std::function<U256()>& draw_nonce) const;
 
   const SchnorrGroup* group_;
   U256 x_;  // private exponent

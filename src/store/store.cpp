@@ -60,10 +60,7 @@ std::uint64_t GetU64(const std::uint8_t* p) {
 /// Validate and decode one snapshot file; any inconsistency is an error
 /// (the caller falls back to an older snapshot).
 Result<std::pair<std::uint64_t, Bytes>> ReadSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::Unavailable("cannot open " + path);
-  Bytes data((std::istreambuf_iterator<char>(in)),
-             std::istreambuf_iterator<char>());
+  GM_ASSIGN_OR_RETURN(const Bytes data, ReadWholeFile(path));
   if (data.size() < kSnapshotHeaderBytes ||
       !std::equal(kSnapshotMagic, kSnapshotMagic + kMagicBytes, data.begin()))
     return Status::Internal("snapshot header invalid: " + path);

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bank/bank.hpp"
+#include "crypto/modmath.hpp"
 #include "net/serialize.hpp"
 #include "store/store.hpp"
 
@@ -274,6 +276,119 @@ TEST_F(BankDurabilityTest, MixedSignedAndInternalJournalRecovers) {
     for (const auto& receipt : receipts)
       EXPECT_TRUE(recovered.VerifyReceipt(receipt).ok()) << receipt.receipt_id;
   }
+}
+
+// r = g^s * y^(q-e) mod p: the nonce commitment g^k a signature was made
+// with. Two signatures with one r share the nonce k, and then their
+// (s1 - s2) / (e1 - e2) mod q is the signer's private key.
+crypto::U256 NonceCommitment(const crypto::PublicKey& key,
+                             const crypto::Signature& signature) {
+  const crypto::SchnorrGroup& g = key.group();
+  return crypto::ModMul(crypto::ModExp(g.g, signature.s, g.p),
+                        crypto::ModExp(key.y(), g.q - signature.e, g.p), g.p);
+}
+
+// A bank rebuilt from its journal must not sign its next receipt with the
+// nonce of one it signed before. Whether it comes back in a new process
+// (pure replay, or snapshot plus tail) or by an in-process crash and
+// restart, receipt B carries a fresh nonce and equals the receipt an
+// uncrashed bank signs. A journal that lost A's record (its tail never
+// reached the disk) is modelled by a new bank that never saw A: its
+// receipt B still carries a nonce of its own.
+TEST_F(BankDurabilityTest, RecoveredBankNeverReusesASigningNonce) {
+  auto live = MakeBank(nullptr);
+  const auto live_a = live->Transfer(
+      "alice", "bob", Money::Dollars(10),
+      Authorize(*live, alice_, "alice", "bob", Money::Dollars(10)), 1);
+  const auto live_b = live->Transfer(
+      "alice", "bob", Money::Dollars(20),
+      Authorize(*live, alice_, "alice", "bob", Money::Dollars(20)), 2);
+  ASSERT_TRUE(live_a.ok() && live_b.ok());
+
+  enum class Path {
+    kNewProcess,
+    kNewProcessFromSnapshot,
+    kInProcess,
+    kJournalLostA
+  };
+  for (const Path path : {Path::kNewProcess, Path::kNewProcessFromSnapshot,
+                          Path::kInProcess, Path::kJournalLostA}) {
+    const fs::path dir = FreshDir("nonce" + std::to_string(int(path)));
+    store::StoreOptions options;
+    // Snapshots after records 2 and 4: the second one holds receipt A.
+    if (path == Path::kNewProcessFromSnapshot)
+      options.snapshot_every_records = 2;
+    auto store = OpenStore(dir, options);
+    auto bank = MakeBank(store.get());
+    const auto a = bank->Transfer(
+        "alice", "bob", Money::Dollars(10),
+        Authorize(*bank, alice_, "alice", "bob", Money::Dollars(10)), 1);
+    ASSERT_TRUE(a.ok());
+    if (path == Path::kInProcess) {
+      bank->SimulateCrash();
+      ASSERT_TRUE(bank->Restart().ok());
+    } else if (path == Path::kJournalLostA) {
+      bank = MakeBank(nullptr);
+    } else {
+      bank.reset();
+      store.reset();  // the log is released before it is reopened
+      store = OpenStore(dir, options);
+      bank = std::make_unique<Bank>(crypto::TestGroup(), 42);
+      bank->AttachStore(store.get());
+      const auto stats = bank->RecoverFromStore();
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(stats->snapshot_loaded,
+                path == Path::kNewProcessFromSnapshot);
+    }
+    const auto b = bank->Transfer(
+        "alice", "bob", Money::Dollars(20),
+        Authorize(*bank, alice_, "alice", "bob", Money::Dollars(20)), 2);
+    ASSERT_TRUE(b.ok());
+    EXPECT_NE(NonceCommitment(bank->public_key(), a->bank_signature),
+              NonceCommitment(bank->public_key(), b->bank_signature))
+        << "path " << int(path);
+    EXPECT_EQ(*a, *live_a) << "path " << int(path);
+    // The bank that lost A numbers B as its first receipt.
+    if (path != Path::kJournalLostA) {
+      EXPECT_EQ(*b, *live_b) << "path " << int(path);
+    }
+  }
+}
+
+// After a reopen the new log appends where the old one stopped, and a
+// second reopen replays those appends too: receipt B survives.
+TEST_F(BankDurabilityTest, ReceiptSignedAfterReopenSurvivesTheNextReopen) {
+  const fs::path dir = FreshDir("reopen_twice");
+  std::optional<crypto::TransferReceipt> b;
+  std::string hash_after_b;
+  {
+    auto store = OpenStore(dir);
+    auto bank = MakeBank(store.get());
+    ASSERT_TRUE(bank->Transfer("alice", "bob", Money::Dollars(10),
+                               Authorize(*bank, alice_, "alice", "bob",
+                                         Money::Dollars(10)),
+                               1)
+                    .ok());
+  }
+  {
+    auto store = OpenStore(dir);
+    Bank bank(crypto::TestGroup(), 42);
+    bank.AttachStore(store.get());
+    ASSERT_TRUE(bank.RecoverFromStore().ok());
+    const auto receipt = bank.Transfer(
+        "alice", "bob", Money::Dollars(20),
+        Authorize(bank, alice_, "alice", "bob", Money::Dollars(20)), 2);
+    ASSERT_TRUE(receipt.ok());
+    b = *receipt;
+    hash_after_b = bank.LedgerHash();
+  }
+  auto store = OpenStore(dir);
+  Bank recovered(crypto::TestGroup(), 42);
+  recovered.AttachStore(store.get());
+  ASSERT_TRUE(recovered.RecoverFromStore().ok());
+  EXPECT_EQ(recovered.LedgerHash(), hash_after_b);
+  EXPECT_TRUE(recovered.VerifyReceipt(*b).ok());
+  EXPECT_EQ(*recovered.Balance("bob"), Money::Dollars(30));
 }
 
 // Property: replaying the same journal always rebuilds a byte-identical

@@ -56,6 +56,19 @@ TEST_F(SchnorrTest, SignaturesAreRandomized) {
   EXPECT_TRUE(keys.public_key().Verify("same message", b));
 }
 
+// A derived nonce depends only on the key and the message: signing one
+// message twice gives one signature, whatever state the caller is in.
+TEST_F(SchnorrTest, DerivedNonceSignaturesAreDeterministicPerMessage) {
+  const KeyPair keys = KeyPair::Generate(group_, rng_);
+  const Signature a = keys.Sign("receipt 1");
+  EXPECT_TRUE(a == keys.Sign("receipt 1"));
+  EXPECT_TRUE(keys.public_key().Verify("receipt 1", a));
+  const Signature b = keys.Sign("receipt 2");
+  EXPECT_TRUE(keys.public_key().Verify("receipt 2", b));
+  EXPECT_FALSE(a == b);
+  EXPECT_FALSE(a == KeyPair::Generate(group_, rng_).Sign("receipt 1"));
+}
+
 TEST_F(SchnorrTest, EmptyMessageSignable) {
   const KeyPair keys = KeyPair::Generate(group_, rng_);
   const Signature sig = keys.Sign("", rng_);

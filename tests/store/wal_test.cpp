@@ -1,11 +1,14 @@
 #include "store/wal.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
+#include "common/proc_io.hpp"
 #include "store/crc32.hpp"
 
 namespace gm::store {
@@ -33,6 +36,10 @@ std::vector<std::string> ReplayAll(WriteAheadLog& wal,
   EXPECT_TRUE(stats.ok()) << stats.status().message();
   if (stats_out != nullptr && stats.ok()) *stats_out = *stats;
   return seen;
+}
+
+void AppendLe(Bytes& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back((v >> (8 * i)) & 0xFFu);
 }
 
 TEST(Crc32Test, MatchesKnownVector) {
@@ -211,7 +218,9 @@ TEST(WalTest, RotationSplitsSegmentsAndReplaysAll) {
   EXPECT_GT((*wal)->SegmentFiles().size(), 1u);
   EXPECT_EQ(ReplayAll(**wal), expected);
 
-  // Reopen still sees every segment.
+  // Reopen still sees every segment. The directory has one owner at a
+  // time, so the first log is closed before the second opens.
+  wal->reset();
   wal = WriteAheadLog::Open(dir.string(), options);
   ASSERT_TRUE(wal.ok());
   EXPECT_EQ(ReplayAll(**wal), expected);
@@ -275,6 +284,160 @@ TEST(WalTest, ApplyFailureAbortsReplay) {
   });
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(applied, 1);
+}
+
+// A closed segment holds exactly the appended frames: the magic, then
+// per record u32 length, u32 CRC(seq || payload), u64 seq and the payload.
+// No preallocated byte survives the close.
+TEST(WalTest, ClosedSegmentHoldsExactlyTheAppendedBytes) {
+  const fs::path dir = FreshDir("exact");
+  const std::vector<std::string> payloads = {"alpha", "", "gamma-gamma"};
+  std::string segment;
+  {
+    auto wal = WriteAheadLog::Open(dir.string());
+    ASSERT_TRUE(wal.ok());
+    for (const std::string& p : payloads)
+      ASSERT_TRUE((*wal)->Append(Payload(p)).ok());
+    segment = (*wal)->SegmentFiles()[0];
+  }
+  Bytes expected = Payload("GMWAL001");
+  std::uint64_t seq = 1;
+  for (const std::string& p : payloads) {
+    Bytes seq_bytes;
+    AppendLe(seq_bytes, seq, 8);
+    const Bytes body = Payload(p);
+    AppendLe(expected, body.size(), 4);
+    AppendLe(expected, Crc32(body, Crc32(seq_bytes)), 4);
+    AppendLe(expected, seq, 8);
+    expected.insert(expected.end(), body.begin(), body.end());
+    ++seq;
+  }
+  std::ifstream in(dir / segment, std::ios::binary);
+  const Bytes on_disk((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  EXPECT_EQ(on_disk, expected);
+}
+
+// One log owns a directory at a time. While a segment is open its end is
+// zero preallocation, which the owner's own replay reads as a clean end. A
+// second Open of the directory fails without touching the file; once the
+// owner closes (and trims), the directory can be opened again.
+TEST(WalTest, SecondOpenOfAnOwnedDirectoryFails) {
+  const fs::path dir = FreshDir("owned");
+  auto writer = WriteAheadLog::Open(dir.string());
+  ASSERT_TRUE(writer.ok());
+  for (const char* p : {"one", "two", "three"})
+    ASSERT_TRUE((*writer)->Append(Payload(p)).ok());
+  const fs::path file = dir / (*writer)->SegmentFiles()[0];
+  const std::uintmax_t written = 8 + 3 * 16 + 3 + 3 + 5;
+  const std::uintmax_t preallocated = fs::file_size(file);
+  EXPECT_GT(preallocated, written);
+
+  RecoveryStats stats;
+  EXPECT_EQ(ReplayAll(**writer, &stats),
+            (std::vector<std::string>{"one", "two", "three"}));
+  EXPECT_EQ(stats.truncated_bytes, 0u);
+
+  const auto second = WriteAheadLog::Open(dir.string());
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(fs::file_size(file), preallocated);
+  ASSERT_TRUE((*writer)->Append(Payload("four")).ok());
+
+  writer->reset();
+  EXPECT_EQ(fs::file_size(file), written + 16 + 4);
+  auto reopened = WriteAheadLog::Open(dir.string());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->next_seq(), 5u);
+  EXPECT_EQ(ReplayAll(**reopened),
+            (std::vector<std::string>{"one", "two", "three", "four"}));
+}
+
+// Garbage after the last record is a torn tail even when zeros follow it:
+// every byte from the garbage to the end counts as truncated.
+TEST(WalTest, ZeroTailAfterGarbageIsStillTruncated) {
+  const fs::path dir = FreshDir("garbage_then_zeros");
+  std::string segment;
+  {
+    auto wal = WriteAheadLog::Open(dir.string());
+    ASSERT_TRUE(wal.ok());
+    ASSERT_TRUE((*wal)->Append(Payload("valid")).ok());
+    segment = (*wal)->SegmentFiles()[0];
+  }
+  const fs::path file = dir / segment;
+  const std::uintmax_t valid = fs::file_size(file);
+  {
+    std::ofstream f(file, std::ios::binary | std::ios::app);
+    f.write("junk", 4);
+    const std::string zeros(4096, '\0');
+    f.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  }
+  auto wal = WriteAheadLog::Open(dir.string());
+  ASSERT_TRUE(wal.ok());
+  EXPECT_EQ((*wal)->open_truncated_bytes(), 4u + 4096u);
+  EXPECT_EQ(fs::file_size(file), valid);
+  EXPECT_EQ(ReplayAll(**wal), (std::vector<std::string>{"valid"}));
+}
+
+// A process that dies with the log open runs no destructor, so its
+// segment keeps the zero preallocation. Every record it appended is in
+// the file all the same; the next owner replays them all, counts nothing
+// as truncated, continues the sequence and trims the file when it closes.
+TEST(WalTest, ProcessDeathWithTheLogOpenLosesNoRecord) {
+  const fs::path dir = FreshDir("process_death");
+  constexpr int kRecords = 500;
+  const auto payload_of = [](int i) {
+    return "record-" + std::to_string(i) + std::string(i % 23, 'x');
+  };
+  std::uintmax_t expected_bytes = 8;
+  for (int i = 0; i < kRecords; ++i)
+    expected_bytes += 16 + payload_of(i).size();
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    auto wal = WriteAheadLog::Open(dir.string());
+    if (!wal.ok()) ::_exit(2);
+    for (int i = 0; i < kRecords; ++i)
+      if (!(*wal)->Append(Payload(payload_of(i))).ok()) ::_exit(3);
+    ::_exit(0);  // no destructor runs: the segment is left untrimmed
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  std::string segment;
+  {
+    auto wal = WriteAheadLog::Open(dir.string());
+    ASSERT_TRUE(wal.ok()) << wal.status().message();
+    ASSERT_EQ((*wal)->SegmentFiles().size(), 1u);
+    segment = (*wal)->SegmentFiles()[0];
+    EXPECT_GT(fs::file_size(dir / segment), expected_bytes);
+    EXPECT_EQ((*wal)->open_truncated_bytes(), 0u);
+    EXPECT_EQ((*wal)->next_seq(), static_cast<std::uint64_t>(kRecords) + 1);
+    RecoveryStats stats;
+    const std::vector<std::string> seen = ReplayAll(**wal, &stats);
+    ASSERT_EQ(seen.size(), static_cast<std::size_t>(kRecords));
+    for (int i = 0; i < kRecords; ++i) EXPECT_EQ(seen[i], payload_of(i));
+    EXPECT_EQ(stats.truncated_bytes, 0u);
+  }
+  EXPECT_EQ(fs::file_size(dir / segment), expected_bytes);
+}
+
+// Appends reach the page cache through the mapping, not through one
+// write(2) each: 10,000 of them make at most 10 write-family syscalls.
+TEST(WalTest, AppendsMakeNoWriteSyscallPerRecord) {
+  if (!WriteSyscalls().has_value())
+    GTEST_SKIP() << "/proc/self/io is not readable";
+  const fs::path dir = FreshDir("syscalls");
+  auto wal = WriteAheadLog::Open(dir.string());
+  ASSERT_TRUE(wal.ok());
+  const Bytes payload(64, 0xAB);
+  const std::uint64_t before = *WriteSyscalls();
+  for (int i = 0; i < 10'000; ++i) ASSERT_TRUE((*wal)->Append(payload).ok());
+  const std::uint64_t after = *WriteSyscalls();
+  EXPECT_LE(after - before, 10u);
 }
 
 }  // namespace
